@@ -18,7 +18,7 @@
 //    instance arena at the exact offsets of computeInstanceLayout()
 //    (src/runtime/instance_layout.h), so a native instance's bytes are
 //    drop-in compatible with the VM's packed state (packState(),
-//    BatchEngine arenas, the verifier's encodeEngineState).
+//    BatchEngine arenas, the verifier's states).
 //
 // The caller-provided context struct (`ecl_nat_ctx`) and the exported
 // metadata record (`ecl_module_info`) mirror src/runtime/native_abi.h —

@@ -63,13 +63,29 @@ CompiledModule::CompiledModule(std::shared_ptr<const SharedProgram> shared,
 std::unique_ptr<rt::SyncEngine>
 CompiledModule::makeSyncEngine(EngineKind kind) const
 {
-    if (kind == EngineKind::Native)
-        throw EclError("makeSyncEngine: the native backend is not a "
-                       "SyncEngine; use makeEngine(EngineKind::Native)");
-    bool flat = kind == EngineKind::Flat && hasFlatProgram();
-    auto engine = std::make_unique<rt::SyncEngine>(
-        *machine_, *sema_, shared_->sema, shared_->functions,
-        flat ? flatProgram_.get() : nullptr, flat ? byteCode_ : nullptr);
+    if (!hasFlatProgram())
+        throw EclError("makeSyncEngine: module '" + flat_->name +
+                       "' has no flat program (compiled with flatten=false "
+                       "or flattening was disabled by a note)");
+    if (kind == EngineKind::TreeWalk)
+        throw EclError("makeSyncEngine: SyncEngine runs the flat tables; "
+                       "use makeEngine(EngineKind::TreeWalk) for the tree "
+                       "walk");
+    std::unique_ptr<rt::SyncEngine> engine;
+    if (kind == EngineKind::Native) {
+        try {
+            engine = std::make_unique<rt::SyncEngine>(*sema_, *flatProgram_,
+                                                      nativeModule());
+        } catch (const EclError& e) {
+            // Native backend unavailable (untypeable chunk, no host
+            // compiler, dlopen failure, shape mismatch): run the same
+            // semantics on the VM; backendName() tells which one ran.
+            noteNativeFallback(e);
+        }
+    }
+    if (!engine)
+        engine = std::make_unique<rt::SyncEngine>(*sema_, *flatProgram_,
+                                                  byteCode_);
     // Keep this module alive while the engine exists (compile() hands out
     // shared_ptrs; stack-constructed modules simply skip the retain).
     if (auto self = weak_from_this().lock()) engine->retain(self);
@@ -107,24 +123,20 @@ void CompiledModule::noteNativeFallback(const EclError& e) const
 std::unique_ptr<rt::ReactiveEngine>
 CompiledModule::makeEngine(EngineKind kind) const
 {
+    if (kind != EngineKind::TreeWalk && hasFlatProgram())
+        return makeSyncEngine(kind);
     if (kind == EngineKind::Native) {
+        // No flat program, so no native code: nativeModule() names why.
         try {
-            // nativeModule() throws before flatProgram_ is touched when
-            // the module has no flat tables.
-            auto native = nativeModule();
-            auto engine = std::make_unique<rt::NativeEngine>(
-                *sema_, *flatProgram_, std::move(native));
-            if (auto self = weak_from_this().lock()) engine->retain(self);
-            return engine;
+            static_cast<void>(nativeModule());
         } catch (const EclError& e) {
-            // Native backend unavailable (no flat program, untypeable
-            // chunk, no host compiler, dlopen failure): run the same
-            // semantics on the VM.
             noteNativeFallback(e);
-            return makeSyncEngine(EngineKind::Flat);
         }
     }
-    return makeSyncEngine(kind);
+    auto engine = std::make_unique<rt::TreeEngine>(
+        *machine_, *sema_, shared_->sema, shared_->functions);
+    if (auto self = weak_from_this().lock()) engine->retain(self);
+    return engine;
 }
 
 std::unique_ptr<rt::BatchEngine>

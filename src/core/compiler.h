@@ -44,9 +44,10 @@ struct CompileOptions {
     /// elimination) after the build. Off by default so size studies see
     /// the raw automaton; see src/efsm/optimize.h.
     bool optimizeEfsm = false;
-    /// Flatten the EFSM and compile data code to bytecode (the
-    /// SyncEngine fast path). On by default; the tree-walking
-    /// representation is always built and kept as the oracle.
+    /// Flatten the EFSM and compile data code to bytecode (what
+    /// SyncEngine, the batch runtime and the verifier run). On by
+    /// default; the tree-walking representation is always built and
+    /// kept as the oracle.
     bool flatten = true;
     /// Post-flatten optimization level (eclc -O{0,1,2}; see
     /// src/opt/opt.h). 0 = tables and bytecode verbatim; 1 = chunk dedup
@@ -66,7 +67,8 @@ enum class EngineKind {
     Flat,     ///< Dense tables + bytecode VM (default fast path).
     TreeWalk, ///< unique_ptr decision trees + tree-walking Evaluator
               ///< (differential-testing oracle, perf baseline).
-    Native,   ///< AOT: generated C compiled + dlopened (rt::NativeEngine);
+    Native,   ///< AOT: generated C compiled + dlopened (rt::SyncEngine on
+              ///< the native kernel);
               ///< falls back to Flat when the native backend is
               ///< unavailable — check backendName() == "native".
 };
@@ -130,17 +132,21 @@ public:
     }
 
     /// Creates a synchronous engine of the requested backend. The
-    /// CompiledModule must outlive it. EngineKind::Flat silently degrades
-    /// to the tree walk when the flat representation was not built
-    /// (flatten=false); EngineKind::Native falls back to Flat when C
-    /// generation, the host compiler, or dlopen is unavailable (the
-    /// returned engine's backendName() tells which one you got).
+    /// CompiledModule must outlive it. EngineKind::TreeWalk yields the
+    /// tree-walking oracle (rt::TreeEngine), and so does EngineKind::Flat
+    /// when the flat representation was not built (flatten=false);
+    /// EngineKind::Native falls back to Flat when C generation, the host
+    /// compiler, or dlopen is unavailable (the returned engine's
+    /// backendName() tells which one you got).
     [[nodiscard]] std::unique_ptr<rt::ReactiveEngine>
     makeEngine(EngineKind kind = EngineKind::Flat) const;
 
-    /// Like makeEngine() but statically typed to the VM engine, for
-    /// callers that need SyncEngine internals (verifier replay, RTOS
-    /// scheduler, state packing tests). Rejects EngineKind::Native.
+    /// Like makeEngine() but statically typed to the arena engine, for
+    /// callers that need SyncEngine itself (verifier replay, state
+    /// packing tests): the VM kernel for EngineKind::Flat, the native
+    /// kernel for EngineKind::Native (with makeEngine's fall-back-to-VM
+    /// policy). Requires hasFlatProgram() and rejects
+    /// EngineKind::TreeWalk, throwing EclError.
     [[nodiscard]] std::unique_ptr<rt::SyncEngine>
     makeSyncEngine(EngineKind kind = EngineKind::Flat) const;
 

@@ -146,8 +146,13 @@ public:
     void resetCounters() { counters_.reset(); }
 
     /// Abort evaluation if more than this many abstract ops run in one
-    /// call tree (guards against runaway extracted loops).
+    /// window (guards against runaway extracted loops).
     void setOpBudget(std::uint64_t budget) { opBudget_ = budget; }
+
+    /// Opens a fresh op-budget window (bc::Vm::resetOpWindow's twin).
+    /// The oracle engines open one per reaction, like the reaction
+    /// kernel, so a runaway loop traps in the same reaction everywhere.
+    void resetOpWindow() { opsUsed_ = 0; }
 
 private:
     struct Frame {

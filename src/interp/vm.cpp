@@ -23,16 +23,7 @@ void setAggregate(auto& reg, const Type* t, const std::uint8_t* src)
 
 } // namespace
 
-Vm::Vm(std::shared_ptr<const Program> prog, Store* moduleStore,
-       const SignalReader* signals)
-    : prog_(std::move(prog)), moduleStore_(moduleStore), signals_(signals)
-{
-}
-
-Vm::Vm(std::shared_ptr<const Program> prog)
-    : prog_(std::move(prog)), moduleStore_(nullptr), signals_(nullptr)
-{
-}
+Vm::Vm(std::shared_ptr<const Program> prog) : prog_(std::move(prog)) {}
 
 Vm::RegFile& Vm::fileForDepth(int depth)
 {
@@ -62,18 +53,6 @@ void Vm::releaseStore(int fnIndex, std::unique_ptr<Store> store)
 {
     storePool_[static_cast<std::size_t>(fnIndex)].push_back(std::move(store));
 }
-
-Value Vm::runExpr(int chunk)
-{
-    return runExpr(chunk, *moduleStore_, *signals_);
-}
-
-bool Vm::runPredicate(int chunk)
-{
-    return runPredicate(chunk, *moduleStore_, *signals_);
-}
-
-void Vm::runAction(int chunk) { runAction(chunk, *moduleStore_, *signals_); }
 
 Value Vm::runExpr(int chunk, Store& store, const SignalReader& signals)
 {

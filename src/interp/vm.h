@@ -1,6 +1,7 @@
 // Register VM executing compiled data bytecode (src/interp/bytecode.h).
 //
-// One Vm instance lives inside each flat-mode SyncEngine. Registers hold
+// One Vm lives inside each VM reaction kernel (src/runtime/kernel.h),
+// one per SyncEngine or per worker thread. Registers hold
 // scalars unboxed (a normalized int64 plus its static Type) and aggregates
 // in per-register scratch buffers that are allocated once and reused, so a
 // steady-state reaction runs without heap allocation — unlike the
@@ -22,48 +23,31 @@ namespace ecl::bc {
 
 class Vm {
 public:
-    /// `moduleStore` and `signals` must outlive the Vm; `prog` is shared
-    /// with the CompiledModule that produced it.
-    Vm(std::shared_ptr<const Program> prog, Store* moduleStore,
-       const SignalReader* signals);
-
-    /// Unbound Vm: no default store/signals. Only the explicit-context
-    /// entry points below may be used. The batch runtime creates one such
-    /// Vm per worker thread and lends it a different instance's
-    /// store/signal slice on every call, so the allocation-free scratch
-    /// (register files, function frames) is shared across all instances a
-    /// worker serves.
+    /// `prog` is shared with the CompiledModule that produced it. The Vm
+    /// holds no instance state: every call borrows the module store and
+    /// signal reader it runs against, so one Vm (and its allocation-free
+    /// scratch: register files, function frames) serves every instance
+    /// its reaction kernel reacts.
     explicit Vm(std::shared_ptr<const Program> prog);
 
     /// Runs an expression chunk and materializes the result as a Value
     /// (emit-value path).
-    Value runExpr(int chunk);
-
-    /// Runs an expression chunk as a condition (data-predicate path).
-    bool runPredicate(int chunk);
-
-    /// Runs a statement chunk (data-action path).
-    void runAction(int chunk);
-
-    // --- reentrant entry points: execute against caller-provided state ---
-    // `store` and `signals` are borrowed for this call only; the Vm itself
-    // is still single-threaded (per-worker scratch), but holds no pointer
-    // to them afterwards.
     Value runExpr(int chunk, Store& store, const SignalReader& signals);
+    /// Runs an expression chunk as a condition (data-predicate path).
     bool runPredicate(int chunk, Store& store, const SignalReader& signals);
+    /// Runs a statement chunk (data-action path).
     void runAction(int chunk, Store& store, const SignalReader& signals);
 
     [[nodiscard]] const ExecCounters& counters() const { return counters_; }
     void resetCounters() { counters_.reset(); }
 
-    /// Mirrors Evaluator::setOpBudget (runaway-loop guard over the Vm's
-    /// lifetime).
+    /// Mirrors Evaluator::setOpBudget (runaway-loop guard over one
+    /// window; see resetOpWindow).
     void setOpBudget(std::uint64_t budget) { opBudget_ = budget; }
 
-    /// Restarts the op-budget window. The budget is a per-engine runaway
-    /// guard; a batch worker Vm outlives thousands of instances, so the
-    /// batch engine opens a fresh window per instance reaction to keep the
-    /// guard's scope equivalent to one SyncEngine's.
+    /// Restarts the op-budget window. The reaction kernel
+    /// (src/runtime/kernel.h) opens one per reaction, so the guard bounds
+    /// one instant of one instance, however many instances a Vm serves.
     void resetOpWindow() { opsUsed_ = 0; }
 
 private:
@@ -92,8 +76,6 @@ private:
     void releaseStore(int fnIndex, std::unique_ptr<Store> store);
 
     std::shared_ptr<const Program> prog_;
-    Store* moduleStore_;
-    const SignalReader* signals_;       ///< Bound default (may be null).
     const SignalReader* activeSignals_ = nullptr; ///< This call's reader.
     ExecCounters counters_;
     std::uint64_t opBudget_ = 500'000'000;

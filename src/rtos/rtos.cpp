@@ -4,40 +4,18 @@
 
 namespace ecl::rtos {
 
-Network::Network(cost::CostModel costModel, NetworkOptions options)
-    : cost_(std::move(costModel)), options_(options)
-{
-}
+Network::Network(cost::CostModel costModel) : cost_(std::move(costModel)) {}
 
 int Network::addTask(std::shared_ptr<const CompiledModule> module,
                      int priority)
 {
     Task t;
     t.module = std::move(module);
-    if (options_.batchTasks && t.module->hasFlatProgram()) {
-        // Same-module tasks share one BatchEngine; this task gets a slot.
-        auto [it, inserted] =
-            batchByModule_.try_emplace(t.module.get(), batches_.size());
-        if (inserted)
-            batches_.push_back(t.module->makeBatchEngine(/*instances=*/0));
-        t.batch = batches_[it->second].get();
-        t.slot = t.batch->addInstance();
-    } else {
-        t.engine = t.module->makeSyncEngine();
-    }
+    t.engine = t.module->makeEngine();
     t.priority = priority;
     t.pending.resize(t.module->moduleSema().signals.size());
     tasks_.push_back(std::move(t));
     return static_cast<int>(tasks_.size() - 1);
-}
-
-rt::SyncEngine& Network::engine(int task)
-{
-    Task& t = tasks_[static_cast<std::size_t>(task)];
-    if (!t.engine)
-        throw EclError("task " + std::to_string(task) +
-                       " is batch-backed and has no private engine");
-    return *t.engine;
 }
 
 void Network::connect(int from, const std::string& fromSignal, int to,
@@ -159,23 +137,14 @@ void Network::reactTask(int taskId)
         ev.present = false;
         t.stats.eventsConsumed++;
         const SignalInfo& info = sema.signals[i];
-        if (info.pure) {
-            if (t.batch)
-                t.batch->setInput(t.slot, static_cast<int>(i));
-            else
-                t.engine->setInput(static_cast<int>(i));
-        } else {
-            if (t.batch)
-                t.batch->setInputValue(t.slot, static_cast<int>(i),
-                                       ev.value);
-            else
-                t.engine->setInputValue(static_cast<int>(i),
-                                        std::move(ev.value));
-        }
+        if (info.pure)
+            t.engine->setInput(static_cast<int>(i));
+        else
+            t.engine->setInputValue(static_cast<int>(i),
+                                    std::move(ev.value));
     }
 
-    rt::ReactionResult r =
-        t.batch ? t.batch->reactInstance(t.slot) : t.engine->react();
+    rt::ReactionResult r = t.engine->react();
     t.stats.activations++;
     std::uint64_t cycles = cost_.reactionCycles(r);
     t.stats.taskCycles += cycles;
@@ -187,8 +156,7 @@ void Network::reactTask(int taskId)
         const Value* value = nullptr;
         Value copy;
         if (!info.pure) {
-            copy = t.batch ? t.batch->outputValue(t.slot, sig)
-                           : t.engine->env().signalValue(sig);
+            copy = t.engine->outputValue(sig);
             value = &copy;
         }
         for (const Connection& c : connections_) {
@@ -202,9 +170,7 @@ void Network::reactTask(int taskId)
     }
 
     // Delta pauses keep the task alive without new events.
-    bool autoResume = t.batch ? t.batch->needsAutoResume(t.slot)
-                              : t.engine->needsAutoResume();
-    if (autoResume) makeReady(taskId);
+    if (t.engine->needsAutoResume()) makeReady(taskId);
 }
 
 void Network::boot()

@@ -3,7 +3,8 @@
 // The paper's asynchronous implementation runs each module as a task under
 // "a simple real-time kernel" [1] (the POLIS runtime). This simulator
 // models that kernel:
-//  * one task per compiled module, each wrapping a SyncEngine;
+//  * one task per compiled module, each with its own engine
+//    (CompiledModule::makeEngine);
 //  * POLIS/CFSM-style 1-place event buffers per input signal (a newer
 //    event overwrites an unconsumed one; overwrites are counted);
 //  * run-to-completion reactions, FIFO ready queue with priorities;
@@ -18,12 +19,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/compiler.h"
 #include "src/cost/cost.h"
-#include "src/runtime/batch_engine.h"
 #include "src/runtime/engine.h"
 
 namespace ecl::rtos {
@@ -42,20 +41,9 @@ struct MemoryReport {
     std::size_t rtosData = 0;
 };
 
-struct NetworkOptions {
-    /// Back tasks with slots of shared rt::BatchEngines (one per distinct
-    /// CompiledModule) instead of one SyncEngine per task: many tasks of
-    /// the same module then share the flat tables, the VM scratch and one
-    /// SoA arena. Observable behavior (outputs, TaskStats, cycle
-    /// accounting) is identical to per-task engines; tasks whose module
-    /// lacks a flat program silently fall back to a private SyncEngine.
-    bool batchTasks = false;
-};
-
 class Network {
 public:
-    explicit Network(cost::CostModel costModel = cost::CostModel{},
-                     NetworkOptions options = {});
+    explicit Network(cost::CostModel costModel = cost::CostModel{});
 
     /// Adds a task running `module`. Higher priority runs first among
     /// simultaneously-ready tasks. Returns the task id.
@@ -97,14 +85,10 @@ public:
 
     [[nodiscard]] MemoryReport memory() const;
 
-    /// The task's private SyncEngine; throws EclError for batch-backed
-    /// tasks (they share a BatchEngine slot instead).
-    [[nodiscard]] rt::SyncEngine& engine(int task);
-
-    /// True when the task runs on a shared BatchEngine slot.
-    [[nodiscard]] bool taskIsBatchBacked(int task) const
+    /// The task's engine.
+    [[nodiscard]] rt::ReactiveEngine& engine(int task)
     {
-        return tasks_[static_cast<std::size_t>(task)].batch != nullptr;
+        return *tasks_[static_cast<std::size_t>(task)].engine;
     }
 
 private:
@@ -127,9 +111,7 @@ private:
 
     struct Task {
         std::shared_ptr<const CompiledModule> module;
-        std::unique_ptr<rt::SyncEngine> engine; ///< Null when batch-backed.
-        rt::BatchEngine* batch = nullptr; ///< Shared per-module engine.
-        std::size_t slot = 0;             ///< This task's batch instance.
+        std::unique_ptr<rt::ReactiveEngine> engine;
         int priority = 0;
         std::vector<PendingEvent> pending; ///< Indexed by signal index.
         bool ready = false;
@@ -144,10 +126,6 @@ private:
     void reactTask(int taskId);
 
     cost::CostModel cost_;
-    NetworkOptions options_;
-    /// Batch engines shared by same-module tasks (batchTasks mode).
-    std::vector<std::unique_ptr<rt::BatchEngine>> batches_;
-    std::unordered_map<const CompiledModule*, std::size_t> batchByModule_;
     std::vector<Task> tasks_;
     std::vector<Connection> connections_;
     std::vector<int> readyQueue_;

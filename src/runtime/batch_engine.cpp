@@ -20,14 +20,13 @@ constexpr std::size_t kMinShardGrain = 128;
 // Shard: per-worker scratch context
 // ---------------------------------------------------------------------------
 
-BatchEngine::Shard::Shard(std::shared_ptr<const bc::Program> code,
-                          const ModuleSema& sema,
-                          const InstanceLayout& layout,
-                          std::uint8_t* scratchBase,
-                          std::size_t emitRingSlots)
-    : vm(std::move(code)), store(sema.vars, scratchBase, layout.varOffsets),
-      sigs(sema, layout, scratchBase), emitRing(emitRingSlots, 0)
+BatchEngine::Shard::Shard(const BatchEngine& engine,
+                          std::uint8_t* scratchBase)
+    : vm(engine.flat_, engine.code_, engine.sema_, engine.layout_,
+         scratchBase)
 {
+    if (engine.native_)
+        native = std::make_unique<NativeKernel>(*engine.native_);
 }
 
 // ---------------------------------------------------------------------------
@@ -51,18 +50,13 @@ BatchEngine::BatchEngine(const efsm::FlatProgram& flat,
     layout_ = computeInstanceLayout(sema_);
     scratchSlice_.assign(layout_.stride, 0);
 
-    std::size_t emitRingSlots = 1;
-    if (native_) {
-        validateNativeShape(native_->info(), sema_, flat_, layout_);
-        nativeReact_ = native_->react();
-        emitRingSlots = std::max<std::size_t>(native_->info().max_emits, 1);
-    }
+    if (native_) validateNativeShape(native_->info(), sema_, flat_, layout_);
 
     const int t = std::max(1, options.threads);
     shards_.reserve(static_cast<std::size_t>(t));
     for (int w = 0; w < t; ++w)
-        shards_.push_back(std::make_unique<Shard>(
-            code_, sema_, layout_, scratchSlice_.data(), emitRingSlots));
+        shards_.push_back(
+            std::make_unique<Shard>(*this, scratchSlice_.data()));
     ranges_.resize(static_cast<std::size_t>(t));
     pool_ = std::make_unique<WorkerPool>(t, [this](int w) { runShard(w); });
 
@@ -89,7 +83,7 @@ void BatchEngine::parkInstance(std::size_t inst)
 {
     checkInstance(inst);
     // A stale dirtyList_ entry is fine — runStep skips entries whose
-    // dirty_ flag is clear (the same rule reactInstance relies on).
+    // dirty_ flag is clear.
     dirty_[inst] = 0;
     instantOpen_[inst] = 0;
 }
@@ -178,25 +172,6 @@ void BatchEngine::openInstant(std::size_t inst)
         std::memset(presentRow(inst), 0, S);
 }
 
-void BatchEngine::storeSignalValue(std::size_t inst, const SignalInfo& info,
-                                   const Value& v)
-{
-    // Normalization identical to SignalEnv::setValue: scalars convert to
-    // the signal's value type, aggregates must match it exactly.
-    if (info.pure)
-        throw EclError("cannot set a value on pure signal '" + info.name +
-                       "'");
-    std::uint8_t* slot =
-        slice(inst) + layout_.sigOffsets[static_cast<std::size_t>(info.index)];
-    if (info.valueType->isScalar())
-        writeScalar(slot, info.valueType, v.toInt());
-    else if (v.type() == info.valueType)
-        std::memcpy(slot, v.data(), info.valueType->size());
-    else
-        throw EclError("signal value type mismatch for '" + info.name + "'");
-    presentRow(inst)[static_cast<std::size_t>(info.index)] = 1;
-}
-
 void BatchEngine::setInput(std::size_t inst, int sigIndex)
 {
     checkInput(inst, sigIndex);
@@ -224,7 +199,8 @@ void BatchEngine::setInputValue(std::size_t inst, int sigIndex,
 {
     const SignalInfo& info = checkInput(inst, sigIndex);
     openInstant(inst);
-    storeSignalValue(inst, info, v);
+    writeSignalValue(slice(inst), layout_, info, v);
+    presentRow(inst)[static_cast<std::size_t>(sigIndex)] = 1;
     markDirty(inst);
 }
 
@@ -237,98 +213,15 @@ void BatchEngine::reactOne(Shard& shard, std::size_t inst)
     if (!instantOpen_[inst] && S != 0) std::memset(present, 0, S);
     instantOpen_[inst] = 0;
 
-    // Reset in place: emittedOutputs keeps its capacity, so steady-state
-    // reactions run allocation-free (the header's contract).
+    // The kernel overwrites the record in place: emittedOutputs keeps
+    // its capacity, so steady-state reactions run allocation-free (the
+    // header's contract).
     ReactionResult& result = last_[inst];
-    result.emittedOutputs.clear();
-    result.terminated = false;
-    result.treeTests = 0;
-    result.actionsRun = 0;
-    result.emitsRun = 0;
-    result.dataCounters.reset();
     ++shard.reactions;
-
-    if (nativeReact_) {
-        // AOT path: the generated ecl_native_react runs directly on this
-        // instance's arena slice and presence row. Fuel reseeds per
-        // reaction, mirroring the VM path's resetOpWindow() below;
-        // dataCounters stay zero exactly like NativeEngine::react().
-        EclNativeCtx ctx{};
-        ctx.data = base;
-        ctx.present = present;
-        ctx.emitted = shard.emitRing.data();
-        ctx.state = state_[inst];
-        ctx.depth = 1; // Module chunks run at the VM's depth 1.
-        ctx.fuel = kNativeReactFuel;
-        const int rc = nativeReact_(&ctx);
-        if (rc != 0)
-            throw EclError(ctx.error ? ctx.error
-                                     : "native reaction failed without a "
-                                       "message");
-        state_[inst] = ctx.state;
-        result.emittedOutputs.assign(
-            shard.emitRing.begin(),
-            shard.emitRing.begin() + ctx.emitted_count);
-        result.terminated = ctx.terminated != 0;
-        result.treeTests = ctx.tree_tests;
-        result.actionsRun = ctx.actions_run;
-        result.emitsRun = ctx.emits_run;
-    } else {
-        shard.store.rebindAll(base, layout_.varOffsets);
-        shard.sigs.bind(base);
-        shard.vm.resetCounters();
-        shard.vm.resetOpWindow();
-
-        // The walk mirrors SyncEngine::reactFlat exactly (outputs, state
-        // update, termination, counters) so the differential tests can
-        // demand bit-equality.
-        const efsm::FlatNode* nodes = flat_.nodes.data();
-        const efsm::FlatAction* actions = flat_.actions.data();
-        auto runActions = [&](const efsm::FlatNode& node) {
-            for (std::int32_t i = node.actionsBegin; i < node.actionsEnd;
-                 ++i) {
-                const efsm::FlatAction& a = actions[i];
-                ++result.actionsRun;
-                if (a.kind == efsm::FlatAction::Kind::Emit) {
-                    ++result.emitsRun;
-                    if (a.chunk >= 0) {
-                        Value v = shard.vm.runExpr(a.chunk, shard.store,
-                                                   shard.sigs);
-                        storeSignalValue(
-                            inst,
-                            sema_.signals[static_cast<std::size_t>(a.signal)],
-                            v);
-                    } else {
-                        present[a.signal] = 1;
-                    }
-                    if (a.isOutput) result.emittedOutputs.push_back(a.signal);
-                } else if (a.chunk >= 0) {
-                    shard.vm.runAction(a.chunk, shard.store, shard.sigs);
-                }
-            }
-        };
-
-        const efsm::FlatNode* node =
-            &nodes[flat_.states[static_cast<std::size_t>(state_[inst])].root];
-        while (!node->isLeaf()) {
-            runActions(*node);
-            ++result.treeTests;
-            bool taken = node->testSignal >= 0
-                             ? present[node->testSignal] != 0
-                             : shard.vm.runPredicate(node->predChunk,
-                                                     shard.store, shard.sigs);
-            node = &nodes[taken ? node->onTrue : node->onFalse];
-        }
-        if (node->runtimeError())
-            throw EclError("instantaneous loop detected at runtime (a "
-                           "statically-unverifiable loop path was reached)");
-        runActions(*node);
-        state_[inst] = node->nextState;
-        result.terminated =
-            node->terminates() ||
-            flat_.states[static_cast<std::size_t>(node->nextState)].dead;
-        result.dataCounters = shard.vm.counters();
-    }
+    state_[inst] = shard.native
+                       ? shard.native->react(base, present, state_[inst],
+                                             &result)
+                       : shard.vm.react(base, present, state_[inst], &result);
 
     if (S != 0)
         std::memcpy(lastPresent_.data() + inst * S, present, S);
@@ -378,12 +271,10 @@ void BatchEngine::runShard(int w)
 std::size_t BatchEngine::runStep(bool all, int drainSteps)
 {
     // Clear the reacted flags of exactly the instances the previous step
-    // (and any reactInstance calls since) touched. The sparse path must
-    // never pay an O(instances) fill for a handful of dirty instances —
-    // that fill alone dominated the old per-dispatched-reaction cost.
+    // touched. The sparse path must never pay an O(instances) fill for a
+    // handful of dirty instances — that fill alone dominated the old
+    // per-dispatched-reaction cost.
     for (const std::uint32_t inst : work_) reacted_[inst] = 0;
-    for (const std::uint32_t inst : extraReacted_) reacted_[inst] = 0;
-    extraReacted_.clear();
 
     work_.clear();
     if (all) {
@@ -394,7 +285,7 @@ std::size_t BatchEngine::runStep(bool all, int drainSteps)
         dirtyList_.clear();
     } else {
         for (std::uint32_t inst : dirtyList_) {
-            if (!dirty_[inst]) continue; // stale (consumed by reactInstance)
+            if (!dirty_[inst]) continue; // stale (parked or reset)
             dirty_[inst] = 0;
             work_.push_back(inst);
         }
@@ -491,37 +382,6 @@ std::size_t BatchEngine::stepDrain(int maxSteps)
     return runStep(/*all=*/false, maxSteps);
 }
 
-const ReactionResult& BatchEngine::reactInstance(std::size_t inst)
-{
-    checkInstance(inst);
-    // Consume any queued mark, list entry included — a long-lived
-    // reactInstance-only driver (the batch-backed rtos::Network) must not
-    // accumulate stale entries across auto-resume reactions.
-    if (dirty_[inst]) {
-        dirty_[inst] = 0;
-        auto it = std::find(dirtyList_.begin(), dirtyList_.end(),
-                            static_cast<std::uint32_t>(inst));
-        if (it != dirtyList_.end()) {
-            *it = dirtyList_.back();
-            dirtyList_.pop_back();
-        }
-    }
-    // The last step's events merge lazily from the shard buffers; force
-    // the merge before this reaction clobbers shard 0's buffer.
-    mergeStepEvents();
-    // Step-scoped event accumulation is meaningless here; clear so the
-    // shard buffer stays bounded by one reaction's emissions.
-    shards_[0]->events.clear();
-    // Queue the reacted flag for the next step's incremental clear (at
-    // most once per instance — the flag gates the push).
-    if (!reacted_[inst])
-        extraReacted_.push_back(static_cast<std::uint32_t>(inst));
-    reactOne(*shards_[0], inst);
-    if (flat_.states[static_cast<std::size_t>(state_[inst])].autoResume)
-        markDirty(inst);
-    return last_[inst];
-}
-
 void BatchEngine::checkInstance(std::size_t inst) const
 {
     if (inst >= state_.size())
@@ -597,8 +457,8 @@ bool BatchEngine::hasStagedInputs(std::size_t inst) const
 
 bool BatchEngine::hasPendingWork() const
 {
-    // dirtyList_ may hold stale entries (consumed by reactInstance or a
-    // park); the dirty_ flags rule.
+    // dirtyList_ may hold stale entries (parked or reset slots); the
+    // dirty_ flags rule.
     for (const std::uint32_t inst : dirtyList_)
         if (dirty_[inst]) return true;
     return false;

@@ -1,36 +1,32 @@
 // Batch multi-instance runtime: N instances of one compiled module over
 // shared flat tables.
 //
-// A SyncEngine owns one instance's whole execution stack (signal env,
-// store, VM). Serving thousands of concurrent sessions of the *same*
-// compiled module that way costs one heap-allocated engine + VM per
-// session. BatchEngine instead keeps ONE shared efsm::FlatProgram +
-// bc::Program and stores all per-instance state structure-of-arrays in
-// contiguous arenas:
+// A SyncEngine owns one instance's arena plus its own VM. Serving
+// thousands of concurrent sessions of the *same* compiled module that
+// way costs one heap-allocated engine + VM per session. BatchEngine
+// instead keeps ONE shared efsm::FlatProgram + bc::Program and stores
+// all per-instance state structure-of-arrays in contiguous arenas:
 //  * control state ids, instant-open flags, dirty flags: one byte/int row
 //    per instance in plain vectors,
 //  * signal presence and last-reaction presence: N x S byte matrices,
 //  * variables and valued-signal bytes: one fixed-layout slice per
 //    instance in a single arena (offsets computed once from ModuleSema),
 //    64-byte instance stride to keep worker threads off shared lines.
-// Execution state that is scratch rather than per-instance — VM register
-// files and function-call frames — lives in per-WORKER contexts shared by
-// every instance the worker serves, so a reaction still runs without heap
-// allocation no matter how many instances exist.
+// Execution state that is scratch rather than per-instance — the kernel
+// with its VM register files, function-call frames and native output
+// ring — lives in per-WORKER contexts shared by every instance the worker
+// serves, so a reaction still runs without heap allocation no matter how
+// many instances exist.
 //
-// Two execution backends run over the same arenas. The default reacts
-// each instance through the reentrant bytecode VM. When constructed with
-// a loaded rt::NativeModule (CompiledModule::makeBatchEngine with
-// EngineKind::Native), every reaction instead calls the AOT-compiled
-// `ecl_native_react` — the generated C operates on the exact
-// computeInstanceLayout arena bytes, so the instance slice is passed
-// straight through an EclNativeCtx with no marshalling. Both backends
-// are bit-exact per reacted instance with the corresponding single
-// engine (SyncEngine / NativeEngine): outputs, packed state, termination,
-// auto-resume and counters (the native backend reports the ctx counters
-// and zero VM dataCounters, exactly like NativeEngine::react). The
-// native fuel window resets per reaction, mirroring the VM backend's
-// per-reaction resetOpWindow().
+// Every reaction is one call of the reaction kernel (src/runtime/kernel.h)
+// on the instance's arena slice and presence row: the VM kernel by
+// default, or the native kernel when constructed with a loaded
+// rt::NativeModule (CompiledModule::makeBatchEngine with
+// EngineKind::Native) — the generated C operates on the exact
+// computeInstanceLayout bytes, so the slice is passed straight through
+// with no marshalling. A SyncEngine is the same kernel over one instance,
+// so each reacted instance is bit-exact with a SyncEngine of the same
+// backend: outputs, packed state, termination, auto-resume and counters.
 //
 // Scheduling is dirty-list driven: step() reacts only instances that have
 // pending inputs or auto-resume (an await() delta pause), the same
@@ -64,6 +60,7 @@
 #include "src/interp/vm.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/instance_layout.h"
+#include "src/runtime/kernel.h"
 #include "src/runtime/native_module.h"
 #include "src/runtime/worker_pool.h"
 #include "src/sema/sema.h"
@@ -115,7 +112,8 @@ public:
     /// pending.
     void resetInstance(std::size_t inst);
     /// Loads a packed state record [i32 control state][instance-layout
-    /// data bytes] (the packInstanceState / packEngineState format) into
+    /// data bytes] (the packInstanceState / ReactiveEngine::packState
+    /// format) into
     /// the slot: control + data restored, presence/staged inputs cleared,
     /// no boot (the record is a post-boot snapshot). The slot is re-marked
     /// dirty only when the restored control state auto-resumes. Throws
@@ -141,9 +139,6 @@ public:
     /// lastStepEvents() is the concatenation of the per-sub-step merges
     /// (identical to the step()-loop event stream for any thread count).
     std::size_t stepDrain(int maxSteps);
-    /// Immediate single-instance reaction on the calling thread (the
-    /// rtos::Network batch backing); clears the instance's dirty mark.
-    const ReactionResult& reactInstance(std::size_t inst);
 
     // --- per-instance queries (post-step) ---
     [[nodiscard]] bool reactedLastStep(std::size_t inst) const;
@@ -181,8 +176,8 @@ public:
 
     /// Packs instance `inst` into the shared verification state record
     /// [i32 control state][instance-layout data bytes] — byte-compatible
-    /// with packEngineState (src/runtime/trace.h) and the explorer's
-    /// interned states: equal byte strings mean same state.
+    /// with ReactiveEngine::packState and the explorer's interned states:
+    /// equal byte strings mean same state.
     [[nodiscard]] std::vector<std::uint8_t>
     packInstanceState(std::size_t inst) const;
 
@@ -208,10 +203,8 @@ private:
     /// Per-worker execution context: scratch shared by all instances the
     /// worker reacts (never by two workers at once).
     struct Shard {
-        bc::Vm vm;
-        Store store;        ///< View store, rebased per instance.
-        ArenaSigView sigs;  ///< View signal reader, rebased per instance.
-        std::vector<std::int32_t> emitRing; ///< Native output ring.
+        VmKernel vm;
+        std::unique_ptr<NativeKernel> native; ///< Set on native engines.
         std::vector<StepEvent> events; ///< This epoch, processing order.
         /// Event count at each sub-step boundary (stepDrain merge keys).
         std::vector<std::uint32_t> substepEnds;
@@ -220,9 +213,7 @@ private:
         std::size_t reactions = 0; ///< Reactions run this epoch.
         std::exception_ptr error;
 
-        Shard(std::shared_ptr<const bc::Program> code,
-              const ModuleSema& sema, const InstanceLayout& layout,
-              std::uint8_t* scratchBase, std::size_t emitRingSlots);
+        Shard(const BatchEngine& engine, std::uint8_t* scratchBase);
     };
 
     void checkInstance(std::size_t inst) const;
@@ -238,8 +229,6 @@ private:
     }
     void markDirty(std::size_t inst);
     void openInstant(std::size_t inst);
-    void storeSignalValue(std::size_t inst, const SignalInfo& info,
-                          const Value& v);
     void reactOne(Shard& shard, std::size_t inst);
     std::size_t runStep(bool all, int drainSteps);
     void runShard(int w);
@@ -251,7 +240,6 @@ private:
     std::shared_ptr<const void> owner_;
     /// AOT backend; null = bytecode VM.
     std::shared_ptr<const NativeModule> native_;
-    EclNativeReactFn nativeReact_ = nullptr;
 
     /// Shared fixed layout of one instance's arena slice (the same layout
     /// the verification explorer packs states with — see
@@ -274,10 +262,6 @@ private:
     std::vector<std::uint32_t> dirtyList_; ///< Marked instances (may hold
                                            ///< stale entries; dirty_ rules).
     std::vector<std::uint32_t> work_;      ///< This step, sorted ascending.
-    /// reactInstance() ids whose reacted_ flag the next step must clear
-    /// (step-reacted ids are cleared via the previous work_ list — the
-    /// sparse path must not pay an O(instances) fill per step).
-    std::vector<std::uint32_t> extraReacted_;
     /// Lazily merged event stream of the last step (mergeStepEvents).
     mutable std::vector<StepEvent> stepEvents_;
     mutable bool eventsMerged_ = true;

@@ -1,5 +1,10 @@
 #include "src/runtime/engine.h"
 
+#include <algorithm>
+#include <cstring>
+
+#include "src/runtime/native_module.h"
+
 namespace ecl::rt {
 
 // ---------------------------------------------------------------------------
@@ -75,36 +80,134 @@ const SignalInfo& checkedInput(const ModuleSema& sema, int sigIndex)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// SyncEngine
+// SyncEngine: one instance over the reaction kernel
 // ---------------------------------------------------------------------------
 
-SyncEngine::SyncEngine(const efsm::Efsm& machine, const ModuleSema& sema,
-                       const ProgramSema& program,
-                       const FunctionSemaMap& functions,
-                       const efsm::FlatProgram* flat,
+SyncEngine::SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat)
+    : sema_(sema), flat_(flat), layout_(computeInstanceLayout(sema)),
+      arena_(layout_.stride, 0), present_(sema.signals.size(), 0),
+      lastPresent_(sema.signals.size(), 0), state_(flat.initialState)
+{
+}
+
+SyncEngine::SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
                        std::shared_ptr<const bc::Program> code)
+    : SyncEngine(sema, flat)
+{
+    if (!code) throw EclError("SyncEngine requires the compiled bytecode");
+    vm_ = std::make_unique<VmKernel>(flat_, std::move(code), sema_, layout_,
+                                     arena_.data());
+}
+
+SyncEngine::SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+                       std::shared_ptr<const NativeModule> module)
+    : SyncEngine(sema, flat)
+{
+    validateNativeShape(module->info(), sema_, flat_, layout_);
+    native_ = std::make_unique<NativeKernel>(*module);
+    module_ = std::move(module);
+}
+
+void SyncEngine::beginInput()
+{
+    if (!instantOpen_) {
+        std::fill(present_.begin(), present_.end(), 0);
+        instantOpen_ = true;
+    }
+}
+
+void SyncEngine::setInput(int sigIndex)
+{
+    checkedInput(sema_, sigIndex);
+    beginInput();
+    present_[static_cast<std::size_t>(sigIndex)] = 1;
+}
+
+void SyncEngine::setInputScalar(int sigIndex, std::int64_t v)
+{
+    const SignalInfo& info = checkedInput(sema_, sigIndex);
+    if (info.pure)
+        throw EclError("'" + info.name + "' is pure; use setInput()");
+    beginInput();
+    writeScalar(arena_.data() +
+                    layout_.sigOffsets[static_cast<std::size_t>(sigIndex)],
+                info.valueType, v);
+    present_[static_cast<std::size_t>(sigIndex)] = 1;
+}
+
+void SyncEngine::setInputValue(int sigIndex, Value v)
+{
+    const SignalInfo& info = checkedInput(sema_, sigIndex);
+    beginInput();
+    writeSignalValue(arena_.data(), layout_, info, v);
+    present_[static_cast<std::size_t>(sigIndex)] = 1;
+}
+
+ReactionResult SyncEngine::react()
+{
+    if (!instantOpen_) std::fill(present_.begin(), present_.end(), 0);
+    instantOpen_ = false;
+
+    ReactionResult result;
+    state_ = native_ ? native_->react(arena_.data(), present_.data(), state_,
+                                      &result)
+                     : vm_->react(arena_.data(), present_.data(), state_,
+                                  &result);
+    lastPresent_ = present_;
+    return result;
+}
+
+bool SyncEngine::outputPresent(int sigIndex) const
+{
+    checkedSignal(sema_, sigIndex);
+    return lastPresent_[static_cast<std::size_t>(sigIndex)] != 0;
+}
+
+Value SyncEngine::outputValue(int sigIndex) const
+{
+    const SignalInfo& s = checkedSignal(sema_, sigIndex);
+    if (s.pure)
+        throw EclError("value read on pure signal '" + s.name + "'");
+    return Value::fromBytes(
+        s.valueType,
+        arena_.data() +
+            layout_.sigOffsets[static_cast<std::size_t>(sigIndex)]);
+}
+
+bool SyncEngine::terminated() const
+{
+    return flat_.states[static_cast<std::size_t>(state_)].dead;
+}
+
+bool SyncEngine::needsAutoResume() const
+{
+    return flat_.states[static_cast<std::size_t>(state_)].autoResume;
+}
+
+std::vector<std::uint8_t> SyncEngine::packState() const
+{
+    std::vector<std::uint8_t> out(4 + layout_.dataBytes, 0);
+    const std::int32_t st = state_;
+    std::memcpy(out.data(), &st, 4);
+    std::memcpy(out.data() + 4, arena_.data(), layout_.dataBytes);
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// TreeEngine (tree-walking oracle)
+// ---------------------------------------------------------------------------
+
+TreeEngine::TreeEngine(const efsm::Efsm& machine, const ModuleSema& sema,
+                       const ProgramSema& program,
+                       const FunctionSemaMap& functions)
     : machine_(machine), sema_(sema), env_(sema), store_(sema.vars),
       eval_(program, functions, &sema, &store_, &env_),
       state_(machine.initialState)
 {
     lastPresent_.assign(sema.signals.size(), false);
-    if (flat && code) {
-        flat_ = flat;
-        code_ = std::move(code);
-        vm_ = std::make_unique<bc::Vm>(code_, &store_, &env_);
-        // Post-flatten minimization renumbers flat states, so flat ids
-        // need not equal the Efsm's; in flat mode every state read goes
-        // through the flat tables.
-        state_ = flat_->initialState;
-    }
 }
 
-const SignalInfo& SyncEngine::checkInput(int sigIndex) const
-{
-    return checkedInput(sema_, sigIndex);
-}
-
-void SyncEngine::beginInput()
+void TreeEngine::beginInput()
 {
     if (!instantOpen_) {
         env_.beginInstant();
@@ -112,30 +215,30 @@ void SyncEngine::beginInput()
     }
 }
 
-void SyncEngine::setInput(int sigIndex)
+void TreeEngine::setInput(int sigIndex)
 {
-    checkInput(sigIndex);
+    checkedInput(sema_, sigIndex);
     beginInput();
     env_.setPresent(sigIndex);
 }
 
-void SyncEngine::setInputScalar(int sigIndex, std::int64_t v)
+void TreeEngine::setInputScalar(int sigIndex, std::int64_t v)
 {
-    const SignalInfo& info = checkInput(sigIndex);
+    const SignalInfo& info = checkedInput(sema_, sigIndex);
     if (info.pure)
         throw EclError("'" + info.name + "' is pure; use setInput()");
     beginInput();
     env_.setValue(sigIndex, Value::fromInt(info.valueType, v));
 }
 
-void SyncEngine::setInputValue(int sigIndex, Value v)
+void TreeEngine::setInputValue(int sigIndex, Value v)
 {
-    checkInput(sigIndex);
+    checkedInput(sema_, sigIndex);
     beginInput();
     env_.setValue(sigIndex, std::move(v));
 }
 
-void SyncEngine::runActions(const std::vector<efsm::Action>& actions,
+void TreeEngine::runActions(const std::vector<efsm::Action>& actions,
                             ReactionResult& result)
 {
     for (const efsm::Action& a : actions) {
@@ -163,54 +266,14 @@ void SyncEngine::runActions(const std::vector<efsm::Action>& actions,
     }
 }
 
-void SyncEngine::runFlatActions(const efsm::FlatNode& node,
-                                ReactionResult& result)
+ReactionResult TreeEngine::react()
 {
-    const efsm::FlatAction* actions = flat_->actions.data();
-    for (std::int32_t i = node.actionsBegin; i < node.actionsEnd; ++i) {
-        const efsm::FlatAction& a = actions[i];
-        ++result.actionsRun;
-        if (a.kind == efsm::FlatAction::Kind::Emit) {
-            ++result.emitsRun;
-            if (a.chunk >= 0)
-                env_.setValue(a.signal, vm_->runExpr(a.chunk));
-            else
-                env_.setPresent(a.signal);
-            if (a.isOutput) result.emittedOutputs.push_back(a.signal);
-        } else if (a.chunk >= 0) {
-            vm_->runAction(a.chunk);
-        }
-    }
-}
+    if (!instantOpen_) env_.beginInstant();
+    instantOpen_ = false;
 
-void SyncEngine::reactFlat(ReactionResult& result)
-{
-    vm_->resetCounters();
-    const efsm::FlatNode* nodes = flat_->nodes.data();
-    const efsm::FlatNode* node =
-        &nodes[flat_->states[static_cast<std::size_t>(state_)].root];
-    while (!node->isLeaf()) {
-        runFlatActions(*node, result);
-        ++result.treeTests;
-        bool taken = node->testSignal >= 0
-                         ? env_.isPresent(node->testSignal)
-                         : vm_->runPredicate(node->predChunk);
-        node = &nodes[taken ? node->onTrue : node->onFalse];
-    }
-    if (node->runtimeError())
-        throw EclError("instantaneous loop detected at runtime (a "
-                       "statically-unverifiable loop path was reached)");
-    runFlatActions(*node, result);
-    state_ = node->nextState;
-    result.terminated =
-        node->terminates() ||
-        flat_->states[static_cast<std::size_t>(state_)].dead;
-    result.dataCounters = vm_->counters();
-}
-
-void SyncEngine::reactTree(ReactionResult& result)
-{
+    ReactionResult result;
     eval_.resetCounters();
+    eval_.resetOpWindow();
     const efsm::State& st = machine_.states[static_cast<std::size_t>(state_)];
     const efsm::TransNode* node = st.tree.get();
     if (!node) throw EclError("state without transition tree");
@@ -232,18 +295,6 @@ void SyncEngine::reactTree(ReactionResult& result)
     result.terminated = node->terminates ||
                         machine_.states[static_cast<std::size_t>(state_)].dead;
     result.dataCounters = eval_.counters();
-}
-
-ReactionResult SyncEngine::react()
-{
-    if (!instantOpen_) env_.beginInstant();
-    instantOpen_ = false;
-
-    ReactionResult result;
-    if (flat_)
-        reactFlat(result);
-    else
-        reactTree(result);
 
     // Snapshot presence for output queries, then close the instant.
     for (std::size_t i = 0; i < lastPresent_.size(); ++i)
@@ -251,34 +302,47 @@ ReactionResult SyncEngine::react()
     return result;
 }
 
-bool SyncEngine::outputPresent(int sigIndex) const
+bool TreeEngine::outputPresent(int sigIndex) const
 {
     checkedSignal(sema_, sigIndex);
     return lastPresent_[static_cast<std::size_t>(sigIndex)];
 }
 
-Value SyncEngine::outputValue(int sigIndex) const
+Value TreeEngine::outputValue(int sigIndex) const
 {
     checkedSignal(sema_, sigIndex);
     return env_.signalValue(sigIndex);
 }
 
-bool SyncEngine::terminated() const
+bool TreeEngine::terminated() const
 {
-    if (flat_) return flat_->states[static_cast<std::size_t>(state_)].dead;
     return machine_.states[static_cast<std::size_t>(state_)].dead;
 }
 
-bool SyncEngine::needsAutoResume() const
+bool TreeEngine::needsAutoResume() const
 {
-    if (flat_)
-        return flat_->states[static_cast<std::size_t>(state_)].autoResume;
     return machine_.states[static_cast<std::size_t>(state_)].autoResume;
 }
 
-std::size_t SyncEngine::dataBytes() const
+std::vector<std::uint8_t> TreeEngine::packState() const
 {
-    return store_.totalBytes() + env_.valueBytes();
+    const InstanceLayout layout = computeInstanceLayout(sema_);
+    std::vector<std::uint8_t> out(4 + layout.dataBytes, 0);
+    const std::int32_t st = state_;
+    std::memcpy(out.data(), &st, 4);
+    std::uint8_t* data = out.data() + 4;
+    for (std::size_t i = 0; i < sema_.vars.size(); ++i) {
+        const Value& v = store_.at(static_cast<int>(i));
+        std::memcpy(data + layout.varOffsets[i], v.data(), v.size());
+    }
+    for (const SignalInfo& s : sema_.signals) {
+        if (s.pure) continue;
+        const Value& v = env_.signalValue(s.index);
+        std::memcpy(data +
+                        layout.sigOffsets[static_cast<std::size_t>(s.index)],
+                    v.data(), v.size());
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -294,20 +358,15 @@ RcEngine::RcEngine(const ir::ReactiveProgram& program, const ModuleSema& sema,
     lastPresent_.assign(sema.signals.size(), false);
 }
 
-const SignalInfo& RcEngine::checkInput(int sigIndex) const
-{
-    return checkedInput(sema_, sigIndex);
-}
-
 void RcEngine::setInput(int sigIndex)
 {
-    checkInput(sigIndex);
+    checkedInput(sema_, sigIndex);
     env_.setPresent(sigIndex);
 }
 
 void RcEngine::setInputScalar(int sigIndex, std::int64_t v)
 {
-    const SignalInfo& info = checkInput(sigIndex);
+    const SignalInfo& info = checkedInput(sema_, sigIndex);
     if (info.pure)
         throw EclError("'" + info.name + "' is pure; use setInput()");
     env_.setValue(sigIndex, Value::fromInt(info.valueType, v));
@@ -315,7 +374,7 @@ void RcEngine::setInputScalar(int sigIndex, std::int64_t v)
 
 void RcEngine::setInputValue(int sigIndex, Value v)
 {
-    checkInput(sigIndex);
+    checkedInput(sema_, sigIndex);
     env_.setValue(sigIndex, std::move(v));
 }
 
@@ -541,6 +600,7 @@ ReactionResult RcEngine::react()
 {
     ReactionResult result;
     eval_.resetCounters();
+    eval_.resetOpWindow();
 
     if (dead_) {
         for (std::size_t i = 0; i < lastPresent_.size(); ++i)

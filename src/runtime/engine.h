@@ -2,19 +2,28 @@
 //
 // SyncEngine executes the compiled EFSM: one decision-tree walk per instant
 // — the paper's fast path ("the Esterel compiler does case analysis much
-// better than a human designer"). When the CompiledModule provides a
-// flattened machine (efsm::FlatProgram) and compiled data bytecode
-// (bc::Program), the walk runs over dense integer-indexed tables and a
-// register VM; otherwise it falls back to the original unique_ptr
-// decision-tree walk with the tree-walking Evaluator. Both paths produce
-// identical outputs and ExecCounters (the tree walk is kept as the
-// differential-testing oracle for the bytecode path).
+// better than a human designer"). It is a one-instance view over the
+// reaction kernel (src/runtime/kernel.h): the instance's variables and
+// signal values live in one InstanceLayout arena, presence is one byte per
+// signal, and each react() hands both to the VM kernel (flat tables +
+// bytecode) or, when built with a NativeModule, to the native kernel
+// (AOT-compiled C). packState() is a copy of the arena, byte-compatible
+// with batch instances and the verifier's states.
+//
+// TreeEngine is the original unique_ptr decision-tree walk with the
+// tree-walking Evaluator, kept as the independent oracle the flat and
+// native paths are differentially tested against; it also runs modules
+// that have no flat program.
 //
 // RcEngine is the Reactive-C-style baseline of the related-work section:
 // it re-walks the whole reactive program structure every instant, keeping
 // an explicit set of active pause points. Semantically equivalent (used as
 // a differential-testing oracle) but with interpretive overhead per
 // reaction, like RC's direct compilation to C.
+//
+// All three open a fresh runaway-guard window (op budget or native fuel)
+// per reaction, so an unbounded data loop traps within the reaction that
+// runs it, with the same message on every engine.
 //
 // Input/output APIs come in two flavors: index-based (the fast path —
 // signal indices from ModuleSema, no hash lookups; used by the RTOS
@@ -33,22 +42,14 @@
 #include "src/interp/eval.h"
 #include "src/interp/vm.h"
 #include "src/ir/ir.h"
+#include "src/runtime/instance_layout.h"
+#include "src/runtime/kernel.h"
 #include "src/runtime/signal_env.h"
 #include "src/sema/sema.h"
 
 namespace ecl::rt {
 
 using FunctionSemaMap = std::unordered_map<std::string, FunctionSema>;
-
-struct ReactionResult {
-    std::vector<int> emittedOutputs; ///< Output-signal indices, in order.
-    bool terminated = false;
-    std::uint64_t treeTests = 0;  ///< Decision nodes walked (EFSM) or IR
-                                  ///< nodes visited (baseline).
-    std::uint64_t actionsRun = 0;
-    std::uint64_t emitsRun = 0;   ///< All emissions (incl. local signals).
-    ExecCounters dataCounters;    ///< From the data evaluator.
-};
 
 /// Common interface so tests and benches can drive both engines uniformly.
 class ReactiveEngine {
@@ -105,13 +106,17 @@ private:
 
 class SyncEngine final : public ReactiveEngine {
 public:
-    /// When `flat` and `code` are provided (the CompiledModule's flattened
-    /// tables + bytecode) the engine executes them; otherwise it walks
-    /// `machine`'s decision trees with the tree-walking Evaluator.
-    SyncEngine(const efsm::Efsm& machine, const ModuleSema& sema,
-               const ProgramSema& program, const FunctionSemaMap& functions,
-               const efsm::FlatProgram* flat = nullptr,
-               std::shared_ptr<const bc::Program> code = nullptr);
+    /// VM kernel over the module's flat tables and their bytecode.
+    SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+               std::shared_ptr<const bc::Program> code);
+    /// Native kernel over a module generated from `flat`; the
+    /// constructor validates the module's shape record against `flat`
+    /// and the instance layout.
+    SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
+               std::shared_ptr<const NativeModule> module);
+
+    SyncEngine(const SyncEngine&) = delete;
+    SyncEngine& operator=(const SyncEngine&) = delete;
 
     using ReactiveEngine::outputPresent;
     using ReactiveEngine::outputValue;
@@ -134,42 +139,81 @@ public:
     }
     [[nodiscard]] const char* backendName() const override
     {
-        return flat_ ? "flat" : "tree";
+        return native_ ? "native" : "flat";
     }
     [[nodiscard]] std::vector<std::uint8_t> packState() const override;
 
-    /// Current control state id — a FlatProgram id in flat mode (which
-    /// post-flatten minimization may have renumbered), an Efsm id on the
-    /// tree-walking path.
+    /// Current control state id, a FlatProgram id (post-flatten
+    /// minimization may have renumbered it away from the Efsm's).
     [[nodiscard]] int currentState() const { return state_; }
-    [[nodiscard]] Store& store() { return store_; }
-    [[nodiscard]] const Store& store() const { return store_; }
-    [[nodiscard]] SignalEnv& env() { return env_; }
-    [[nodiscard]] const SignalEnv& env() const { return env_; }
-    [[nodiscard]] const ModuleSema& sema() const { return sema_; }
-    /// True when reactions execute flat tables + bytecode (the fast path).
-    [[nodiscard]] bool usesFlatExecution() const { return flat_ != nullptr; }
-
     /// Data memory footprint: variables + signal values (memory model).
-    [[nodiscard]] std::size_t dataBytes() const;
+    [[nodiscard]] std::size_t dataBytes() const { return layout_.dataBytes; }
+    /// The loaded module behind a native engine (backendName() ==
+    /// "native"; must not be called otherwise).
+    [[nodiscard]] const NativeModule& nativeModule() const
+    {
+        return *module_;
+    }
 
 private:
-    const SignalInfo& checkInput(int sigIndex) const;
+    SyncEngine(const ModuleSema& sema, const efsm::FlatProgram& flat);
+    void beginInput();
+
+    const ModuleSema& sema_;
+    const efsm::FlatProgram& flat_;
+    InstanceLayout layout_;
+    std::vector<std::uint8_t> arena_;   ///< layout_.stride bytes.
+    std::vector<std::uint8_t> present_; ///< One byte per signal.
+    std::vector<std::uint8_t> lastPresent_;
+    std::shared_ptr<const NativeModule> module_;
+    std::unique_ptr<VmKernel> vm_;         ///< Exactly one of these two
+    std::unique_ptr<NativeKernel> native_; ///< kernels is set.
+    int state_ = 0;
+    bool instantOpen_ = false;
+};
+
+/// The native engine is a SyncEngine built with a NativeModule.
+using NativeEngine = SyncEngine;
+
+class TreeEngine final : public ReactiveEngine {
+public:
+    TreeEngine(const efsm::Efsm& machine, const ModuleSema& sema,
+               const ProgramSema& program, const FunctionSemaMap& functions);
+
+    using ReactiveEngine::outputPresent;
+    using ReactiveEngine::outputValue;
+    using ReactiveEngine::setInput;
+    using ReactiveEngine::setInputScalar;
+    using ReactiveEngine::setInputValue;
+
+    void setInput(int sigIndex) override;
+    void setInputScalar(int sigIndex, std::int64_t v) override;
+    void setInputValue(int sigIndex, Value v) override;
+    ReactionResult react() override;
+
+    [[nodiscard]] bool outputPresent(int sigIndex) const override;
+    [[nodiscard]] Value outputValue(int sigIndex) const override;
+    [[nodiscard]] bool terminated() const override;
+    [[nodiscard]] bool needsAutoResume() const override;
+    [[nodiscard]] const ModuleSema& moduleSema() const override
+    {
+        return sema_;
+    }
+    [[nodiscard]] const char* backendName() const override { return "tree"; }
+    /// Packs the store and signal values field by field into the
+    /// instance layout; the control state is an Efsm id.
+    [[nodiscard]] std::vector<std::uint8_t> packState() const override;
+
+private:
     void beginInput();
     void runActions(const std::vector<efsm::Action>& actions,
                     ReactionResult& result);
-    void runFlatActions(const efsm::FlatNode& node, ReactionResult& result);
-    void reactTree(ReactionResult& result);
-    void reactFlat(ReactionResult& result);
 
     const efsm::Efsm& machine_;
     const ModuleSema& sema_;
     SignalEnv env_;
     Store store_;
     Evaluator eval_;
-    const efsm::FlatProgram* flat_ = nullptr;
-    std::shared_ptr<const bc::Program> code_;
-    std::unique_ptr<bc::Vm> vm_;
     int state_ = 0;
     std::vector<bool> lastPresent_;
     bool instantOpen_ = false;
@@ -213,7 +257,6 @@ private:
     };
     enum class Mode { Start, Resume };
 
-    const SignalInfo& checkInput(int sigIndex) const;
     WalkResult walk(const ir::Node& n, Mode mode, ReactionResult& result);
     bool guardValue(const ir::SigGuard& g);
     void doEmit(const ir::Node& n, ReactionResult& result);

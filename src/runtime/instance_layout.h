@@ -1,13 +1,14 @@
 // Shared fixed arena layout for one instance of a compiled module.
 //
-// The batch runtime (src/runtime/batch_engine.h) and the verification
-// explorer (src/verify/explorer.h) both keep per-instance data —
-// module variables plus valued-signal slots — as raw bytes in
-// caller-managed arenas, executed through view Stores and view
-// SignalReaders rebased per instance. This header owns the one layout
-// both agree on, so a state snapshot taken by one (the explorer's
-// packed states) is byte-compatible with the other (a batch instance's
-// arena slice):
+// SyncEngine (src/runtime/engine.h), the batch runtime
+// (src/runtime/batch_engine.h) and the verification explorer
+// (src/verify/explorer.h) all keep per-instance data — module variables
+// plus valued-signal slots — as raw bytes, which the reaction kernel
+// (src/runtime/kernel.h) executes through a view Store and an
+// ArenaSigView, or hands to the native code as is. This header owns the
+// one layout they agree on, so a state snapshot taken by one (a
+// SyncEngine's packState(), the explorer's packed states) is
+// byte-compatible with the others (a batch instance's arena slice):
 //  * variables first, in VarInfo order, each 8-byte aligned;
 //  * then valued-signal slots, ascending signal index, 8-byte aligned;
 //  * dataBytes is the used extent, stride pads it to a 64-byte boundary

@@ -27,16 +27,6 @@ std::string hex16(std::uint64_t v)
     return s;
 }
 
-/// Mirrors engine.cpp's checkedSignal (same error text).
-const SignalInfo& checkedSignal(const ModuleSema& sema, int sigIndex)
-{
-    if (sigIndex < 0 ||
-        static_cast<std::size_t>(sigIndex) >= sema.signals.size())
-        throw EclError("signal index " + std::to_string(sigIndex) +
-                       " out of range");
-    return sema.signals[static_cast<std::size_t>(sigIndex)];
-}
-
 std::string readLogTail(const fs::path& log)
 {
     std::ifstream is(log);
@@ -174,148 +164,6 @@ void validateNativeShape(const EclNativeInfo& info, const ModuleSema& sema,
                        (info.module_name ? info.module_name : "?") +
                        "' shape does not match this compile (stale cache "
                        "or wrong flat tables)");
-}
-
-// ---------------------------------------------------------------------------
-// NativeEngine
-// ---------------------------------------------------------------------------
-
-NativeEngine::NativeEngine(const ModuleSema& sema,
-                           const efsm::FlatProgram& flat,
-                           std::shared_ptr<const NativeModule> module)
-    : sema_(sema), flat_(flat), module_(std::move(module)),
-      layout_(computeInstanceLayout(sema)), fuel_(kNativeReactFuel)
-{
-    const EclNativeInfo& info = module_->info();
-    validateNativeShape(info, sema_, flat_, layout_);
-    arena_.assign(std::max<std::size_t>(layout_.dataBytes, 1), 0);
-    present_.assign(sema_.signals.size(), 0);
-    lastPresent_.assign(sema_.signals.size(), 0);
-    emitted_.assign(std::max<std::uint32_t>(info.max_emits, 1), 0);
-    state_ = flat_.initialState;
-}
-
-const SignalInfo& NativeEngine::checkInput(int sigIndex) const
-{
-    const SignalInfo& s = checkedSignal(sema_, sigIndex);
-    if (s.dir != SignalDir::Input)
-        throw EclError("'" + s.name + "' is not an input signal");
-    return s;
-}
-
-void NativeEngine::beginInput()
-{
-    if (!instantOpen_) {
-        std::fill(present_.begin(), present_.end(), 0);
-        instantOpen_ = true;
-    }
-}
-
-void NativeEngine::setInput(int sigIndex)
-{
-    checkInput(sigIndex);
-    beginInput();
-    present_[static_cast<std::size_t>(sigIndex)] = 1;
-}
-
-void NativeEngine::setInputScalar(int sigIndex, std::int64_t v)
-{
-    const SignalInfo& info = checkInput(sigIndex);
-    if (info.pure)
-        throw EclError("'" + info.name + "' is pure; use setInput()");
-    beginInput();
-    writeScalar(arena_.data() +
-                    layout_.sigOffsets[static_cast<std::size_t>(sigIndex)],
-                info.valueType, v);
-    present_[static_cast<std::size_t>(sigIndex)] = 1;
-}
-
-void NativeEngine::setInputValue(int sigIndex, Value v)
-{
-    const SignalInfo& info = checkInput(sigIndex);
-    beginInput();
-    // SignalEnv::setValue semantics, writing straight into the arena.
-    if (info.pure)
-        throw EclError("cannot set a value on pure signal '" + info.name +
-                       "'");
-    std::uint8_t* slot =
-        arena_.data() +
-        layout_.sigOffsets[static_cast<std::size_t>(sigIndex)];
-    if (info.valueType->isScalar())
-        writeScalar(slot, info.valueType, v.toInt());
-    else if (v.type() == info.valueType)
-        std::memcpy(slot, v.data(), info.valueType->size());
-    else
-        throw EclError("signal value type mismatch for '" + info.name +
-                       "'");
-    present_[static_cast<std::size_t>(sigIndex)] = 1;
-}
-
-ReactionResult NativeEngine::react()
-{
-    if (!instantOpen_) std::fill(present_.begin(), present_.end(), 0);
-    instantOpen_ = false;
-
-    EclNativeCtx ctx{};
-    ctx.data = arena_.data();
-    ctx.present = present_.data();
-    ctx.emitted = emitted_.data();
-    ctx.state = state_;
-    ctx.depth = 1; // Module chunks run at the VM's depth 1.
-    ctx.fuel = fuel_;
-    int rc = module_->react()(&ctx);
-    fuel_ = ctx.fuel; // Lifetime budget, like the VM's op budget.
-    if (rc != 0)
-        throw EclError(ctx.error ? ctx.error
-                                 : "native reaction failed without a "
-                                   "message");
-    state_ = ctx.state;
-
-    ReactionResult result;
-    result.emittedOutputs.assign(
-        emitted_.begin(), emitted_.begin() + ctx.emitted_count);
-    result.terminated = ctx.terminated != 0;
-    result.treeTests = ctx.tree_tests;
-    result.actionsRun = ctx.actions_run;
-    result.emitsRun = ctx.emits_run;
-    lastPresent_ = present_;
-    return result;
-}
-
-bool NativeEngine::outputPresent(int sigIndex) const
-{
-    checkedSignal(sema_, sigIndex);
-    return lastPresent_[static_cast<std::size_t>(sigIndex)] != 0;
-}
-
-Value NativeEngine::outputValue(int sigIndex) const
-{
-    const SignalInfo& s = checkedSignal(sema_, sigIndex);
-    if (s.pure)
-        throw EclError("value read on pure signal '" + s.name + "'");
-    return Value::fromBytes(
-        s.valueType,
-        arena_.data() +
-            layout_.sigOffsets[static_cast<std::size_t>(sigIndex)]);
-}
-
-bool NativeEngine::terminated() const
-{
-    return flat_.states[static_cast<std::size_t>(state_)].dead;
-}
-
-bool NativeEngine::needsAutoResume() const
-{
-    return flat_.states[static_cast<std::size_t>(state_)].autoResume;
-}
-
-std::vector<std::uint8_t> NativeEngine::packState() const
-{
-    std::vector<std::uint8_t> out(4 + layout_.dataBytes, 0);
-    const std::int32_t st = state_;
-    std::memcpy(out.data(), &st, 4);
-    std::memcpy(out.data() + 4, arena_.data(), layout_.dataBytes);
-    return out;
 }
 
 } // namespace ecl::rt

@@ -12,14 +12,10 @@
 // EclError; CompiledModule::makeEngine(EngineKind::Native) catches that
 // and falls back to the bytecode VM.
 //
-// NativeEngine is the drop-in SyncEngine replacement over a loaded
-// module: instance state lives in one arena laid out by
-// computeInstanceLayout() (byte-compatible with packEngineState / batch
-// arenas / the verifier), presence is one byte per signal, and each
-// react() stack-builds an EclNativeCtx for the compiled reaction
-// function. Input staging, instant open/close, presence snapshots and
-// every error string mirror SyncEngine exactly so the two are
-// differentially testable down to trap messages.
+// The loaded module runs through NativeKernel (src/runtime/kernel.h), the
+// native implementation of the one reaction kernel: a SyncEngine built
+// with a NativeModule (rt::NativeEngine), native BatchEngine workers and
+// the explorer's native successors all call it over InstanceLayout bytes.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +24,6 @@
 #include <vector>
 
 #include "src/efsm/flatten.h"
-#include "src/runtime/engine.h"
 #include "src/runtime/instance_layout.h"
 #include "src/runtime/native_abi.h"
 #include "src/sema/sema.h"
@@ -64,76 +59,19 @@ private:
     std::string compiler_;
 };
 
-/// Backward-branch budget a fresh reaction starts from — the native
+/// Backward-branch budget every reaction starts from — the native
 /// analogue of bc::Vm's op budget (see c_gen.h on the approximation).
-/// NativeEngine spends it across the engine's lifetime exactly like the
-/// VM's lifetime op budget; BatchEngine reseeds it per reaction,
-/// mirroring the batch VM path's per-reaction resetOpWindow().
+/// NativeKernel reseeds it per reaction, as VmKernel opens a fresh op
+/// window per reaction.
 inline constexpr std::int64_t kNativeReactFuel = 500'000'000;
 
 /// Validates a loaded module's shape record against the host tables it
 /// is about to run over (data layout, signal/state counts, initial
 /// state); throws EclError on any mismatch (stale cache, wrong flat
-/// tables). Shared by NativeEngine, BatchEngine and makeBatchEngine so
+/// tables). Shared by SyncEngine, BatchEngine and the explorer so
 /// every native entry point rejects a mismatched module the same way.
 void validateNativeShape(const EclNativeInfo& info, const ModuleSema& sema,
                          const efsm::FlatProgram& flat,
                          const InstanceLayout& layout);
-
-class NativeEngine final : public ReactiveEngine {
-public:
-    /// The flat tables must be the ones the module was generated from
-    /// (state attributes are read from them); the constructor validates
-    /// the module's shape record against them and the instance layout.
-    NativeEngine(const ModuleSema& sema, const efsm::FlatProgram& flat,
-                 std::shared_ptr<const NativeModule> module);
-
-    using ReactiveEngine::outputPresent;
-    using ReactiveEngine::outputValue;
-    using ReactiveEngine::setInput;
-    using ReactiveEngine::setInputScalar;
-    using ReactiveEngine::setInputValue;
-
-    void setInput(int sigIndex) override;
-    void setInputScalar(int sigIndex, std::int64_t v) override;
-    void setInputValue(int sigIndex, Value v) override;
-    ReactionResult react() override;
-
-    [[nodiscard]] bool outputPresent(int sigIndex) const override;
-    [[nodiscard]] Value outputValue(int sigIndex) const override;
-    [[nodiscard]] bool terminated() const override;
-    [[nodiscard]] bool needsAutoResume() const override;
-    [[nodiscard]] const ModuleSema& moduleSema() const override
-    {
-        return sema_;
-    }
-    [[nodiscard]] const char* backendName() const override
-    {
-        return "native";
-    }
-    [[nodiscard]] std::vector<std::uint8_t> packState() const override;
-
-    [[nodiscard]] int currentState() const { return state_; }
-    [[nodiscard]] const NativeModule& nativeModule() const
-    {
-        return *module_;
-    }
-
-private:
-    const SignalInfo& checkInput(int sigIndex) const;
-    void beginInput();
-
-    const ModuleSema& sema_;
-    const efsm::FlatProgram& flat_;
-    std::shared_ptr<const NativeModule> module_;
-    InstanceLayout layout_;
-    std::vector<std::uint8_t> arena_;
-    std::vector<std::uint8_t> present_;
-    std::vector<std::uint8_t> lastPresent_;
-    std::vector<std::int32_t> emitted_;
-    int state_ = 0;
-    std::int64_t fuel_ = 0;
-    bool instantOpen_ = false;
-};
 
 } // namespace ecl::rt

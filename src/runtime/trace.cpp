@@ -30,17 +30,13 @@ TraceRecorder::TraceRecorder(const ModuleSema& sema,
     }
 }
 
-void TraceRecorder::sample(const SyncEngine& engine)
+void TraceRecorder::sample(const ReactiveEngine& engine)
 {
     for (Track& t : tracks_) {
-        bool present = false;
-        // outputPresent works for any signal by name (observability API).
-        present = engine.outputPresent(t.name);
-        t.present.push_back(present);
-        if (t.valued) {
-            std::int64_t v = engine.env().signalValue(t.signalIndex).toInt();
-            t.values.push_back(v);
-        }
+        // outputPresent works for any signal (observability API).
+        t.present.push_back(engine.outputPresent(t.signalIndex));
+        if (t.valued)
+            t.values.push_back(engine.outputValue(t.signalIndex).toInt());
     }
     ++instants_;
 }
@@ -605,33 +601,6 @@ const char* RecordingEngine::backendName() const
 std::vector<std::uint8_t> RecordingEngine::packState() const
 {
     return inner_.packState();
-}
-
-std::vector<std::uint8_t> packEngineState(const SyncEngine& engine,
-                                          const InstanceLayout& layout)
-{
-    const ModuleSema& sema = engine.moduleSema();
-    std::vector<std::uint8_t> out(4 + layout.dataBytes, 0);
-    const std::int32_t st = engine.currentState();
-    std::memcpy(out.data(), &st, 4);
-    std::uint8_t* data = out.data() + 4;
-    for (std::size_t i = 0; i < sema.vars.size(); ++i) {
-        const Value& v = engine.store().at(static_cast<int>(i));
-        std::memcpy(data + layout.varOffsets[i], v.data(), v.size());
-    }
-    for (const SignalInfo& s : sema.signals) {
-        if (s.pure) continue;
-        const Value& v = engine.env().signalValue(s.index);
-        std::memcpy(data +
-                        layout.sigOffsets[static_cast<std::size_t>(s.index)],
-                    v.data(), v.size());
-    }
-    return out;
-}
-
-std::vector<std::uint8_t> SyncEngine::packState() const
-{
-    return packEngineState(*this, computeInstanceLayout(moduleSema()));
 }
 
 namespace {

@@ -11,7 +11,7 @@
 // input an engine receives — and every output it produced — is captured
 // per instant into a versioned, stable format (binary "ECLTRC01" or a
 // line-based text form, sniffed automatically on read). A recorded trace
-// is a reproducible fixture: replayTrace() drives a fresh SyncEngine or a
+// is a reproducible fixture: replayTrace() drives any fresh engine or a
 // BatchEngine instance with the identical input stream and checks the
 // outputs (presence, value bytes, termination, auto-resume) bit-exactly
 // against the recording, returning the replayed engine's packed
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/runtime/engine.h"
-#include "src/runtime/instance_layout.h"
 #include "src/sema/sema.h"
 
 namespace ecl::rt {
@@ -45,7 +44,7 @@ public:
                            std::vector<std::string> signals = {});
 
     /// Samples the engine's last reaction (call right after react()).
-    void sample(const SyncEngine& engine);
+    void sample(const ReactiveEngine& engine);
 
     /// Presence flags can also be provided directly (baseline engine,
     /// RTOS tasks): `present[i]` for recorded signal i, `values[i]` the
@@ -230,13 +229,6 @@ struct TraceReplayOptions {
     /// Check outputs against the recording (when the trace has them).
     bool checkOutputs = true;
 };
-
-/// Packs a live SyncEngine into the shared verification/batch state
-/// record: [i32 control state][instance-layout data bytes]. Byte-equal
-/// strings mean same state (the verify layer's encodeEngineState is this
-/// function).
-std::vector<std::uint8_t> packEngineState(const SyncEngine& engine,
-                                          const InstanceLayout& layout);
 
 /// Replays `trace` on any fresh (pre-boot) ReactiveEngine; the final
 /// packed state comes from the engine's packState() virtual, so VM and

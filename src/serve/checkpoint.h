@@ -2,8 +2,8 @@
 //
 // A session's whole execution state is the shared verification/batch
 // record [i32 control state][instance-layout data bytes] — the bytes
-// rt::BatchEngine::packInstanceState emits and the verifier's
-// encodeEngineState proves round-trip. A checkpoint wraps that record
+// rt::BatchEngine::packInstanceState and every engine's packState()
+// emit and the verifier interns. A checkpoint wraps that record
 // with enough metadata to make restoring SAFE across process and fleet
 // boundaries:
 //

@@ -21,21 +21,6 @@ std::int32_t readI32(const std::uint8_t* p)
     return v;
 }
 
-/// Writes an emitted/injected value into a signal's arena slot with the
-/// same normalization as SignalEnv::setValue and the batch engine.
-void storeSigValue(std::uint8_t* slice, const rt::InstanceLayout& layout,
-                   const SignalInfo& info, const Value& v)
-{
-    std::uint8_t* slot =
-        slice + layout.sigOffsets[static_cast<std::size_t>(info.index)];
-    if (info.valueType->isScalar())
-        writeScalar(slot, info.valueType, v.toInt());
-    else if (v.type() == info.valueType)
-        std::memcpy(slot, v.data(), info.valueType->size());
-    else
-        throw EclError("signal value type mismatch for '" + info.name + "'");
-}
-
 using Clock = std::chrono::steady_clock;
 
 double secondsBetween(Clock::time_point a, Clock::time_point b)
@@ -124,20 +109,27 @@ std::vector<MonitorWire> wireMonitor(const ModuleSema& design,
 // Worker scratch
 // ---------------------------------------------------------------------------
 
-Explorer::ModuleCtx::ModuleCtx(const ModuleSema& sema,
-                               const rt::InstanceLayout& layout,
-                               std::shared_ptr<const bc::Program> code)
+Explorer::ModuleCtx::ModuleCtx(const efsm::FlatProgram& flat,
+                               std::shared_ptr<const bc::Program> code,
+                               const ModuleSema& sema,
+                               const rt::InstanceLayout& layout)
     : slice(layout.stride, 0), present(sema.signals.size(), 0),
-      store(sema.vars, slice.data(), layout.varOffsets),
-      sigs(sema, layout, slice.data()), vm(std::move(code))
+      kernel(flat, std::move(code), sema, layout, slice.data())
 {
 }
 
+int Explorer::ModuleCtx::react(int state)
+{
+    return kernel.react(slice.data(), present.data(), state, nullptr);
+}
+
 Explorer::Worker::Worker(const Explorer& ex)
-    : design(ex.sema_, ex.layout_, ex.code_), emitRing(ex.nativeEmitSlots_, 0)
+    : design(ex.flat_, ex.code_, ex.sema_, ex.layout_)
 {
     if (ex.monSema_)
-        monitor.emplace(*ex.monSema_, ex.monLayout_, ex.monCode_);
+        monitor.emplace(*ex.monFlat_, ex.monCode_, *ex.monSema_,
+                        ex.monLayout_);
+    if (ex.native_) native = std::make_unique<rt::NativeKernel>(*ex.native_);
 }
 
 void Explorer::Worker::clearSuccessors()
@@ -191,8 +183,6 @@ void Explorer::attachNative(std::shared_ptr<const rt::NativeModule> native)
     // Same gate as every other native entry point: a module generated
     // from different flat tables must not run over these arenas.
     rt::validateNativeShape(native->info(), sema_, flat_, layout_);
-    nativeEmitSlots_ = std::max<std::size_t>(native->info().max_emits, 1);
-    nativeReact_ = native->react();
     native_ = std::move(native);
 }
 
@@ -416,7 +406,7 @@ bool Explorer::isCommutativeChunk(std::int32_t chunk) const
 bool Explorer::simPure(int state, std::vector<std::uint8_t>& present,
                        SimResult& out) const
 {
-    // Presence-only twin of reactModule: walks the decision tree with
+    // Presence-only twin of the VM kernel: walks the decision tree with
     // the given input presence (emissions feed back into it exactly as
     // the real reaction's present[] does) WITHOUT executing data code.
     // Fails — conservatively disqualifying the letter — on anything
@@ -629,51 +619,6 @@ void Explorer::computePartialOrder()
 // Explorer: successor computation
 // ---------------------------------------------------------------------------
 
-int Explorer::reactModule(ModuleCtx& ctx, const efsm::FlatProgram& flat,
-                          const ModuleSema& sema,
-                          const rt::InstanceLayout& layout, int state) const
-{
-    // The lean twin of SyncEngine::reactFlat / BatchEngine::reactOne:
-    // same successor state, emissions and value writes, no counter or
-    // event bookkeeping (throughput is states/sec here).
-    ctx.vm.resetOpWindow();
-    const efsm::FlatNode* nodes = flat.nodes.data();
-    const efsm::FlatAction* actions = flat.actions.data();
-    std::uint8_t* present = ctx.present.data();
-    auto runActs = [&](const efsm::FlatNode& node) {
-        for (std::int32_t i = node.actionsBegin; i < node.actionsEnd; ++i) {
-            const efsm::FlatAction& a = actions[i];
-            if (a.kind == efsm::FlatAction::Kind::Emit) {
-                if (a.chunk >= 0) {
-                    Value v = ctx.vm.runExpr(a.chunk, ctx.store, ctx.sigs);
-                    storeSigValue(
-                        ctx.slice.data(), layout,
-                        sema.signals[static_cast<std::size_t>(a.signal)], v);
-                }
-                present[a.signal] = 1;
-            } else if (a.chunk >= 0) {
-                ctx.vm.runAction(a.chunk, ctx.store, ctx.sigs);
-            }
-        }
-    };
-
-    const efsm::FlatNode* node =
-        &nodes[flat.states[static_cast<std::size_t>(state)].root];
-    while (!node->isLeaf()) {
-        runActs(*node);
-        bool taken = node->testSignal >= 0
-                         ? present[node->testSignal] != 0
-                         : ctx.vm.runPredicate(node->predChunk, ctx.store,
-                                               ctx.sigs);
-        node = &nodes[taken ? node->onTrue : node->onFalse];
-    }
-    if (node->runtimeError())
-        throw EclError("instantaneous loop detected at runtime (a "
-                       "statically-unverifiable loop path was reached)");
-    runActs(*node);
-    return node->nextState;
-}
-
 void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
                          std::uint32_t letterIdx)
 {
@@ -689,7 +634,7 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
     for (const auto& [sig, dom] : letter.sets) {
         w.design.present[static_cast<std::size_t>(sig)] = 1;
         if (dom >= 0)
-            storeSigValue(
+            rt::writeSignalValue(
                 w.design.slice.data(), layout_,
                 sema_.signals[static_cast<std::size_t>(sig)],
                 domains_[static_cast<std::size_t>(sig)]
@@ -699,30 +644,13 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
     int newDs = ds;
     int newMs = -1;
     try {
-        if (nativeReact_) {
-            // AOT path: the generated ecl_native_react runs directly on
-            // the worker's slice and presence row (the generated code
-            // marks every emission present, locals included, so monitor
-            // wiring and signal checks below see the VM's exact
-            // instant). Fuel reseeds per reaction like the batch
-            // engine's native path; a nonzero return carries the same
-            // trap message the VM path throws.
-            rt::EclNativeCtx ctx{};
-            ctx.data = w.design.slice.data();
-            ctx.present = w.design.present.data();
-            ctx.emitted = w.emitRing.data();
-            ctx.state = ds;
-            ctx.depth = 1;
-            ctx.fuel = rt::kNativeReactFuel;
-            const int rc = nativeReact_(&ctx);
-            if (rc != 0)
-                throw EclError(ctx.error ? ctx.error
-                                         : "native reaction failed without "
-                                           "a message");
-            newDs = ctx.state;
-        } else {
-            newDs = reactModule(w.design, flat_, sema_, layout_, ds);
-        }
+        // The generated code marks every emission present, locals
+        // included, exactly like the VM kernel, so monitor wiring and
+        // signal checks below see the same instant on either kernel.
+        newDs = w.native ? w.native->react(w.design.slice.data(),
+                                           w.design.present.data(), ds,
+                                           nullptr)
+                         : w.design.react(ds);
         if (monSema_) {
             const int ms = readI32(rec + 4);
             std::memcpy(w.monitor->slice.data(),
@@ -764,8 +692,7 @@ void Explorer::expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
                             std::memcpy(dst, src, msig.valueType->size());
                     }
                 }
-                newMs = reactModule(*w.monitor, *monFlat_, *monSema_,
-                                    monLayout_, ms);
+                newMs = w.monitor->react(ms);
             }
         }
     } catch (const EclError& e) {
@@ -1058,7 +985,7 @@ ExploreResult Explorer::run()
     out.stats.storeKind = store_->kind();
     out.stats.lossyStore = store_->lossy();
     out.stats.storeMemoryBytes = store_->memoryBytes();
-    out.stats.usedNativeSuccessors = nativeReact_ != nullptr;
+    out.stats.usedNativeSuccessors = native_ != nullptr;
     for (const auto& w : workers_)
         out.stats.lettersReduced += w->lettersReduced;
     out.stats.seconds = secondsBetween(t0, t1);

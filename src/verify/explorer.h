@@ -15,10 +15,10 @@
 //   [design data bytes][monitor data bytes]
 // where "data bytes" is the module's rt::InstanceLayout slice (variables
 // + valued-signal slots) — byte-compatible with a batch-engine arena
-// slice, and with rt::SyncEngine state via verify::encodeEngineState
-// (src/verify/replay.h). Records are interned in a pluggable StateStore
-// (ExplorerOptions::storeKind — exact arena, collapse-compressed, or
-// lossy supertrace bitstate; see src/verify/state_store.h); the
+// slice and with any engine's ReactiveEngine::packState(). Records are
+// interned in a pluggable StateStore (ExplorerOptions::storeKind —
+// exact arena, collapse-compressed, or lossy supertrace bitstate; see
+// src/verify/state_store.h); the
 // interned pause-set configuration behind a control state id is
 // available through FlatProgram::configOf.
 //
@@ -62,8 +62,9 @@
 // and are reused epoch after epoch instead of holding a whole level; a
 // level that fits one epoch runs as one. The epoch is cut into
 // contiguous chunks of about equal successor count, worker threads
-// expand them through per-worker scratch (view Store + ArenaSigView +
-// reentrant bc::Vm, exactly the batch runtime's shard discipline) and
+// expand them through per-worker reaction kernels (src/runtime/kernel.h,
+// the same kernel the batch runtime's shards and SyncEngine call, with
+// no result record: the explorer keeps no counters or outputs) and
 // hash each successor record they pack, then a sequential merge interns
 // the epoch's successors — probing with the worker's hash, prefetching
 // a fixed distance ahead — in canonical frontier x letter order. Epoch
@@ -80,11 +81,10 @@
 //
 // Native successors — when an AOT-compiled module is attached
 // (attachNative / ExplorerOptions::nativeSuccessors via
-// CompiledModule::makeExplorer), workers call the generated
-// ecl_native_react for the DESIGN successor computation instead of the
-// bytecode VM: same arena slice, same presence bytes, same trap
-// messages, bit-exact states (differentially tested). The monitor, when
-// attached, always reacts through the VM.
+// CompiledModule::makeExplorer), workers compute DESIGN successors with
+// the native kernel instead of the VM kernel: same arena slice, same
+// presence bytes, same trap messages, bit-exact states (differentially
+// tested). The monitor, when attached, always reacts through the VM.
 //
 // Violations — three sources, checked per *transition* (emissions are
 // per-instant and not part of the packed state):
@@ -112,7 +112,7 @@
 #include "src/efsm/flatten.h"
 #include "src/interp/vm.h"
 #include "src/runtime/instance_layout.h"
-#include "src/runtime/native_abi.h"
+#include "src/runtime/kernel.h"
 #include "src/runtime/worker_pool.h"
 #include "src/sema/sema.h"
 #include "src/verify/state_store.h"
@@ -378,12 +378,14 @@ private:
     struct ModuleCtx {
         std::vector<std::uint8_t> slice;   ///< stride bytes, zeroed.
         std::vector<std::uint8_t> present; ///< One byte per signal.
-        Store store;
-        rt::ArenaSigView sigs;
-        bc::Vm vm;
+        rt::VmKernel kernel;               ///< Bound to `slice`.
 
-        ModuleCtx(const ModuleSema& sema, const rt::InstanceLayout& layout,
-                  std::shared_ptr<const bc::Program> code);
+        ModuleCtx(const efsm::FlatProgram& flat,
+                  std::shared_ptr<const bc::Program> code,
+                  const ModuleSema& sema, const rt::InstanceLayout& layout);
+        /// One VM reaction of the loaded slice from `state`, without
+        /// counters or outputs; returns the next state.
+        int react(int state);
     };
 
     /// One expanded successor, recorded by a worker for the merge phase.
@@ -404,7 +406,8 @@ private:
     struct Worker {
         ModuleCtx design;
         std::optional<ModuleCtx> monitor;
-        std::vector<std::int32_t> emitRing; ///< Native-successor scratch.
+        /// Native design kernel (null unless a module is attached).
+        std::unique_ptr<rt::NativeKernel> native;
         // Successor buffers, refilled every BFS epoch / DFS state.
         std::vector<std::uint8_t> packed; ///< Successors, packedSize each.
         /// StateStore::hashBytes of each packed successor (0 for a trap
@@ -447,9 +450,6 @@ private:
     bool simPure(int state, std::vector<std::uint8_t>& present,
                  SimResult& out) const;
     [[nodiscard]] bool isCommutativeChunk(std::int32_t chunk) const;
-    int reactModule(ModuleCtx& ctx, const efsm::FlatProgram& flat,
-                    const ModuleSema& sema, const rt::InstanceLayout& layout,
-                    int state) const;
     /// Expands one (state, letter) from the packed record `rec`.
     void expandOne(Worker& w, const std::uint8_t* rec, std::uint32_t id,
                    std::uint32_t letterIdx);
@@ -494,8 +494,6 @@ private:
 
     // Native successor function (optional).
     std::shared_ptr<const rt::NativeModule> native_;
-    rt::EclNativeReactFn nativeReact_ = nullptr;
-    std::size_t nativeEmitSlots_ = 1;
 
     // Packed-record geometry.
     std::size_t headerBytes_ = 4;

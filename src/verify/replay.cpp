@@ -5,14 +5,6 @@
 
 namespace ecl::verify {
 
-std::vector<std::uint8_t> encodeEngineState(const rt::SyncEngine& engine,
-                                            const rt::InstanceLayout& layout)
-{
-    // The packing lives with the runtime's shared instance layout (the
-    // trace replay oracle uses it too); this is the verify-facing name.
-    return rt::packEngineState(engine, layout);
-}
-
 namespace {
 
 bool bytesEqual(const std::uint8_t* a, const std::uint8_t* b, std::size_t n)
@@ -22,8 +14,8 @@ bool bytesEqual(const std::uint8_t* a, const std::uint8_t* b, std::size_t n)
 
 } // namespace
 
-ReplayOutcome replayCounterexample(rt::SyncEngine& design,
-                                   rt::SyncEngine* monitor,
+ReplayOutcome replayCounterexample(rt::ReactiveEngine& design,
+                                   rt::ReactiveEngine* monitor,
                                    const ExploreResult& result,
                                    rt::TraceRecorder* designRec,
                                    rt::TraceRecorder* monitorRec)
@@ -98,7 +90,7 @@ ReplayOutcome replayCounterexample(rt::SyncEngine& design,
     // 1. The violating emission must be present on the monitored engine,
     //    with bit-identical value bytes when the signal is valued.
     if (v.kind != Violation::Kind::Predicate) {
-        rt::SyncEngine* checked =
+        rt::ReactiveEngine* checked =
             v.kind == Violation::Kind::MonitorSignal ? monitor : &design;
         if (!checked) {
             out.detail = "monitor violation recorded but no monitor engine "
@@ -135,15 +127,14 @@ ReplayOutcome replayCounterexample(rt::SyncEngine& design,
         return out;
     }
     const std::uint8_t* rec = v.state.data();
-    const std::vector<std::uint8_t> denc = encodeEngineState(design, dlayout);
+    const std::vector<std::uint8_t> denc = design.packState();
     if (!bytesEqual(rec, denc.data(), 4) ||
         !bytesEqual(rec + header, denc.data() + 4, dlayout.dataBytes)) {
         out.detail = "design post-state differs from the explorer's record";
         return out;
     }
     if (monitor) {
-        const std::vector<std::uint8_t> menc = encodeEngineState(
-            *monitor, rt::computeInstanceLayout(monitor->moduleSema()));
+        const std::vector<std::uint8_t> menc = monitor->packState();
         if (!bytesEqual(rec + 4, menc.data(), 4) ||
             !bytesEqual(rec + header + dlayout.dataBytes, menc.data() + 4,
                         mdata)) {

@@ -1,13 +1,14 @@
 // Counterexample replay: runs an explorer trace on real engines.
 //
-// The explorer's successor function is a lean re-implementation of the
-// flat reaction (no counters, arena state). A counterexample is only
-// trustworthy if the *production* engine agrees — so every trace can be
-// replayed bit-exactly on rt::SyncEngine: the same inputs per instant,
-// the monitor wired off the design's reactions exactly as during
+// The explorer computes successors with the reaction kernel and keeps no
+// counters or outputs. A counterexample is only trustworthy if a
+// production engine agrees — so every trace can be replayed bit-exactly
+// on any ReactiveEngine that packs its state (normally the SyncEngines
+// of CompiledModule::makeSyncEngine): the same inputs per instant, the
+// monitor wired off the design's reactions exactly as during
 // exploration, and the final instant checked against the recorded
 // violation (signal presence, emitted value bytes, and the packed
-// post-state via encodeEngineState). Optional rt::TraceRecorders
+// post-state via ReactiveEngine::packState). Optional rt::TraceRecorders
 // capture the run for VCD / timeline dumps (runtime/trace).
 //
 // Replay is store- and reduction-agnostic: the trace carries the full
@@ -34,20 +35,13 @@ struct ReplayOutcome {
     std::string detail; ///< Human-readable confirmation or mismatch.
 };
 
-/// Packs a SyncEngine's live state exactly like the explorer's per-module
-/// record: [control state : i32][instance-layout data bytes]. Two engines
-/// (or an engine and an explorer state) are in the same verification
-/// state iff these byte strings are equal.
-std::vector<std::uint8_t> encodeEngineState(const rt::SyncEngine& engine,
-                                            const rt::InstanceLayout& layout);
-
 /// Replays `result.trace` on a fresh pair of engines. `monitor` may be
 /// null when the exploration ran without one. The recorders, when given,
 /// are sampled after every design / monitor reaction. Engines must be
-/// freshly created (pre-boot) SyncEngines of the modules the exploration
-/// ran on.
-ReplayOutcome replayCounterexample(rt::SyncEngine& design,
-                                   rt::SyncEngine* monitor,
+/// freshly created (pre-boot) engines of the modules the exploration ran
+/// on, over the same flat tables (packState() control ids are flat ids).
+ReplayOutcome replayCounterexample(rt::ReactiveEngine& design,
+                                   rt::ReactiveEngine* monitor,
                                    const ExploreResult& result,
                                    rt::TraceRecorder* designRec = nullptr,
                                    rt::TraceRecorder* monitorRec = nullptr);

@@ -323,6 +323,83 @@ TEST(NativeDifferential, DivisionByZeroTrapsLikeVm)
     EXPECT_NE(msgN.find("division by zero"), std::string::npos) << msgN;
 }
 
+// The runaway guard bounds one reaction: each reaction starts from a
+// fresh kNativeReactFuel (500M backward branches), so 510 reactions of a
+// 1M-iteration loop (510M branches in all) never trap.
+TEST(NativeEngineBudget, FuelIsPerReactionNotPerLifetime)
+{
+    REQUIRE_NATIVE();
+    const char* src =
+        "module m (input pure go, output int o)\n"
+        "{\n"
+        "    int i; int s;\n"
+        "    while (1) {\n"
+        "        await (go);\n"
+        "        s = 0;\n"
+        "        for (i = 0; i < 1000000; i++) { s = s + i % 3; }\n"
+        "        emit_v (o, s);\n"
+        "    }\n"
+        "}\n";
+    Compiler compiler(src);
+    auto mod = compiler.compile("m");
+    auto eng = mod->makeEngine(EngineKind::Native);
+    ASSERT_STREQ(eng->backendName(), "native");
+    eng->react(); // boot reaction reaches the await
+    for (int r = 0; r < 510; ++r) {
+        eng->setInput("go");
+        ASSERT_NO_THROW(eng->react()) << "reaction " << r;
+        ASSERT_EQ(eng->outputValue("o").toInt(), 999999) << "reaction " << r;
+    }
+}
+
+// An unbounded data loop traps inside the reaction that runs it, with the
+// same message from the native kernel (its fuel) and the VM kernel (its op
+// budget, lowered here so the VM side runs in milliseconds).
+TEST(NativeDifferential, RunawayLoopTrapsLikeVm)
+{
+    REQUIRE_NATIVE();
+    const char* src =
+        "module m (input pure go, output int o)\n"
+        "{\n"
+        "    int i;\n"
+        "    await (go);\n"
+        "    while (1) { i = i + 1; }\n"
+        "}\n";
+    Compiler compiler(src);
+    auto mod = compiler.compile("m");
+    const ModuleSema& sema = mod->moduleSema();
+    const int go = sema.findSignal("go")->index;
+
+    auto native = mod->makeEngine(EngineKind::Native);
+    ASSERT_STREQ(native->backendName(), "native");
+    native->react(); // boot reaction reaches the await
+    native->setInput(go);
+    std::string msgN = "(no trap)";
+    try {
+        native->react();
+    } catch (const EclError& e) {
+        msgN = e.what();
+    }
+
+    const rt::InstanceLayout layout = rt::computeInstanceLayout(sema);
+    std::vector<std::uint8_t> data(layout.stride, 0);
+    std::vector<std::uint8_t> present(sema.signals.size(), 0);
+    rt::VmKernel vm(mod->flatProgram(), mod->byteCodePtr(), sema, layout,
+                    data.data());
+    vm.vm().setOpBudget(100'000);
+    int state = vm.react(data.data(), present.data(),
+                         mod->flatProgram().initialState, nullptr);
+    present[static_cast<std::size_t>(go)] = 1;
+    std::string msgV = "(no trap)";
+    try {
+        vm.react(data.data(), present.data(), state, nullptr);
+    } catch (const EclError& e) {
+        msgV = e.what();
+    }
+    EXPECT_EQ(msgN, msgV);
+    EXPECT_NE(msgN.find("op budget exceeded"), std::string::npos) << msgN;
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation: Native must never fail the caller.
 // ---------------------------------------------------------------------------

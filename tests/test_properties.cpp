@@ -88,9 +88,9 @@ TEST_P(RandomProgramTest, FlatExecutionMatchesTreeWalk)
     }
     ASSERT_TRUE(mod->hasFlatProgram());
     auto flat = mod->makeSyncEngine(EngineKind::Flat);
-    auto tree = mod->makeSyncEngine(EngineKind::TreeWalk);
-    ASSERT_TRUE(flat->usesFlatExecution());
-    ASSERT_FALSE(tree->usesFlatExecution());
+    auto tree = mod->makeEngine(EngineKind::TreeWalk);
+    ASSERT_STREQ(flat->backendName(), "flat");
+    ASSERT_STREQ(tree->backendName(), "tree");
     EXPECT_EQ(runTrace(*flat, 11, 50), runTrace(*tree, 11, 50));
 }
 
@@ -159,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(AllValuations, InputSweepTest,
 //
 // Seeded-random input sequences over every module of both paper sources,
 // checking three engines instant by instant: the flat-table/bytecode
-// SyncEngine against the tree-walking SyncEngine (same EFSM, different
+// SyncEngine against the tree-walking TreeEngine (same EFSM, different
 // execution representation — outputs, termination, auto-resume AND exact
 // ExecCounters must agree) and against the structural RcEngine (independent
 // semantics — outputs, termination, auto-resume must agree). Runs at both
@@ -209,9 +209,9 @@ TEST_P(PaperSourceDifferentialTest, FlatMatchesTreeWalkAndStructuralOracle)
 
     for (unsigned seed = 1; seed <= 3; ++seed) {
         auto flat = mod->makeSyncEngine(EngineKind::Flat);
-        auto tree = mod->makeSyncEngine(EngineKind::TreeWalk);
+        auto tree = mod->makeEngine(EngineKind::TreeWalk);
         auto rc = mod->makeBaselineEngine();
-        ASSERT_TRUE(flat->usesFlatExecution());
+        ASSERT_STREQ(flat->backendName(), "flat");
 
         std::mt19937 rng(seed * 7919u + 17u);
         flat->react();

@@ -20,8 +20,7 @@ struct StackNet {
     int prochdr;
     int matches = 0;
 
-    explicit StackNet(bool batchTasks = false)
-        : net(cost::CostModel{}, rtos::NetworkOptions{batchTasks})
+    StackNet()
     {
         assemble = net.addTask(compiler.compile("assemble"));
         checkcrc = net.addTask(compiler.compile("checkcrc"));
@@ -204,8 +203,7 @@ TEST(RtosTest, AudioBufferAsyncBehaviourMatchesSync)
 
 // --- regression pins: 1-place buffering + dispatch determinism ---------------
 //
-// These pin the scheduler's observable contract so the batch-backed Network
-// path (NetworkOptions::batchTasks) can be diffed against it exactly.
+// These pin the scheduler's observable contract.
 
 TEST(RtosTest, OnePlaceBufferOverwriteCountPinned)
 {
@@ -239,10 +237,10 @@ struct DispatchRun {
     std::uint64_t rtosCycles = 0;
 };
 
-DispatchRun runDispatchScenario(unsigned seed, bool batchTasks)
+DispatchRun runDispatchScenario(unsigned seed)
 {
     Compiler compiler(paper::audioBufferSource());
-    rtos::Network net(cost::CostModel{}, rtos::NetworkOptions{batchTasks});
+    rtos::Network net;
     int prod = net.addTask(compiler.compile("producer"), /*priority=*/2);
     int play = net.addTask(compiler.compile("playback"), /*priority=*/1);
     int blink = net.addTask(compiler.compile("blinker"), /*priority=*/0);
@@ -285,69 +283,31 @@ DispatchRun runDispatchScenario(unsigned seed, bool batchTasks)
 
 TEST(RtosTest, DispatchDeterminismSameSeedSameStats)
 {
-    DispatchRun a = runDispatchScenario(42, /*batchTasks=*/false);
-    DispatchRun b = runDispatchScenario(42, /*batchTasks=*/false);
+    DispatchRun a = runDispatchScenario(42);
+    DispatchRun b = runDispatchScenario(42);
     EXPECT_EQ(a.stats, b.stats);
     EXPECT_EQ(a.outputOrder, b.outputOrder);
     EXPECT_EQ(a.taskCycles, b.taskCycles);
     EXPECT_EQ(a.rtosCycles, b.rtosCycles);
     // A different seed drives a different schedule (the pin is not vacuous).
-    DispatchRun c = runDispatchScenario(43, /*batchTasks=*/false);
+    DispatchRun c = runDispatchScenario(43);
     EXPECT_NE(a.outputOrder, c.outputOrder);
 }
 
-TEST(RtosTest, BatchBackedDispatchMatchesPerTaskEngines)
-{
-    DispatchRun a = runDispatchScenario(77, /*batchTasks=*/false);
-    DispatchRun b = runDispatchScenario(77, /*batchTasks=*/true);
-    EXPECT_EQ(a.stats, b.stats);
-    EXPECT_EQ(a.outputOrder, b.outputOrder);
-    EXPECT_EQ(a.taskCycles, b.taskCycles);
-    EXPECT_EQ(a.rtosCycles, b.rtosCycles);
-}
-
-TEST(RtosTest, BatchBackedStackMatchesPerTask)
-{
-    StackNet per(/*batchTasks=*/false);
-    StackNet batch(/*batchTasks=*/true);
-    EXPECT_FALSE(per.net.taskIsBatchBacked(per.assemble));
-    EXPECT_TRUE(batch.net.taskIsBatchBacked(batch.assemble));
-    for (int p = 0; p < 3; ++p) {
-        auto pkt = test::makePacket(paper::kAddrByte, p, /*corruptTail=*/p == 1);
-        per.feedPacket(pkt);
-        batch.feedPacket(pkt);
-    }
-    EXPECT_EQ(per.matches, 2);
-    EXPECT_EQ(batch.matches, per.matches);
-    for (int task : {0, 1, 2}) {
-        const rtos::TaskStats& a = per.net.stats(task);
-        const rtos::TaskStats& b = batch.net.stats(task);
-        EXPECT_EQ(a.activations, b.activations) << "task " << task;
-        EXPECT_EQ(a.eventsConsumed, b.eventsConsumed) << "task " << task;
-        EXPECT_EQ(a.eventsOverwritten, b.eventsOverwritten)
-            << "task " << task;
-        EXPECT_EQ(a.taskCycles, b.taskCycles) << "task " << task;
-    }
-    EXPECT_EQ(per.net.taskCycles(), batch.net.taskCycles());
-    EXPECT_EQ(per.net.rtosCycles(), batch.net.rtosCycles());
-}
-
-TEST(RtosTest, SameModuleTasksShareOneBatchAndStayIndependent)
+TEST(RtosTest, SameModuleTasksStayIndependent)
 {
     Compiler compiler(paper::audioBufferSource());
     auto blinkMod = compiler.compile("blinker");
-    rtos::Network net(cost::CostModel{}, rtos::NetworkOptions{true});
+    rtos::Network net;
     int a = net.addTask(blinkMod, 0);
     int b = net.addTask(blinkMod, 0);
-    ASSERT_TRUE(net.taskIsBatchBacked(a));
-    ASSERT_TRUE(net.taskIsBatchBacked(b));
     int aOn = 0;
     int bOn = 0;
     net.onOutput(a, "led_on", [&](const Value*) { ++aOn; });
     net.onOutput(b, "led_on", [&](const Value*) { ++bOn; });
     net.boot();
     // The first tick turns the LED on: ticking only task a must not
-    // advance task b's control state through the shared arena.
+    // advance task b, although both run one compiled module.
     net.inject(a, "tick");
     net.run();
     EXPECT_EQ(aOn, 1);

@@ -1,6 +1,8 @@
 // Runtime engine tests: SyncEngine/RcEngine parity, signal environment,
-// instant lifecycle, counters.
+// instant lifecycle, counters, the reaction kernel's per-reaction budget.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/core/compiler.h"
 
@@ -78,6 +80,53 @@ TEST(EngineTest, DataBytesReportsFootprint)
     auto mod = compiler.compile("m");
     auto eng = mod->makeSyncEngine();
     EXPECT_GE(eng->dataBytes(), 32u + 4u + 1u);
+}
+
+// The VM kernel opens a fresh op window per reaction: with the budget
+// lowered to 20k ops, 300 reactions of a 100-iteration loop (far more than
+// 20k ops in all) run, and one reaction of 100k iterations traps.
+TEST(KernelTest, VmOpBudgetIsPerReaction)
+{
+    Compiler compiler("module m (input int n, output int o) {"
+                      " int i; int s;"
+                      " while (1) { await (n); s = 0;"
+                      " for (i = 0; i < n; i++) { s = s + 1; }"
+                      " emit_v (o, s); } }");
+    auto mod = compiler.compile("m");
+    const ModuleSema& sema = mod->moduleSema();
+    const SignalInfo& n = *sema.findSignal("n");
+    const rt::InstanceLayout layout = rt::computeInstanceLayout(sema);
+    std::vector<std::uint8_t> data(layout.stride, 0);
+    std::vector<std::uint8_t> present(sema.signals.size(), 0);
+    rt::VmKernel kernel(mod->flatProgram(), mod->byteCodePtr(), sema, layout,
+                        data.data());
+    kernel.vm().setOpBudget(20'000);
+
+    rt::ReactionResult result;
+    int state = kernel.react(data.data(), present.data(),
+                             mod->flatProgram().initialState, &result);
+    auto reactWith = [&](std::int64_t count) {
+        std::fill(present.begin(), present.end(), 0);
+        present[static_cast<std::size_t>(n.index)] = 1;
+        rt::writeSignalValue(data.data(), layout, n,
+                             Value::fromInt(n.valueType, count));
+        state = kernel.react(data.data(), present.data(), state, &result);
+    };
+    std::uint64_t ops = 0;
+    for (int r = 0; r < 300; ++r) {
+        ASSERT_NO_THROW(reactWith(100)) << "reaction " << r;
+        ASSERT_EQ(result.emittedOutputs.size(), 1u);
+        ops += result.dataCounters.total();
+    }
+    EXPECT_GT(ops, 20'000u * 10); // the budget would not cover a lifetime
+    try {
+        reactWith(100'000);
+        ADD_FAILURE() << "a reaction over the op budget did not trap";
+    } catch (const EclError& e) {
+        EXPECT_NE(std::string(e.what()).find("op budget exceeded"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /// Drives both engines with the same pseudo-random pure-signal stimulus and

@@ -123,8 +123,7 @@ rt::InputTrace recordRandom(const CompiledModule& mod, unsigned seed,
     rt::RecordingEngine rec(*eng, mod.name());
     corpus::runStimulus(rec, corpus::Profile::Random, seed, instants);
     if (finalState)
-        *finalState = rt::packEngineState(
-            *eng, rt::computeInstanceLayout(mod.moduleSema()));
+        *finalState = eng->packState();
     return rec.takeTrace();
 }
 
@@ -249,7 +248,7 @@ TEST(TraceReplayTest, RecordedTraceReplaysBitExactEverywhere)
         EXPECT_EQ(sync0.finalData(), sync2.finalData());
         EXPECT_EQ(sync0.outputDigest, sync2.outputDigest);
 
-        auto tw = mod0->makeSyncEngine(EngineKind::TreeWalk);
+        auto tw = mod0->makeEngine(EngineKind::TreeWalk);
         rt::TraceReplayResult tree = rt::replayTrace(*tw, t);
         EXPECT_TRUE(tree.outputsMatch) << tree.mismatch;
         EXPECT_EQ(tree.finalData(), sync2.finalData());

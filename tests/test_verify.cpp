@@ -3,9 +3,11 @@
 // The load-bearing suites:
 //  * brute force — the explorer's reachable-state set and minimal
 //    counterexample are cross-checked against exhaustive input-sequence
-//    enumeration replayed on rt::SyncEngine (a fully independent
-//    oracle: no shared successor code, state compared byte-for-byte via
-//    encodeEngineState);
+//    enumeration replayed on rt::SyncEngine (independent of the
+//    explorer's alphabet, expansion, interning and trace code; the
+//    reaction kernel both call is checked against the tree-walk and RC
+//    oracles in test_properties), state compared byte-for-byte via
+//    packState();
 //  * determinism — 1-thread and 4-thread exploration must agree on
 //    state count, interning order (digest), transition count and the
 //    minimal counterexample, over all 8 paper modules;
@@ -171,8 +173,6 @@ BruteResult bruteForce(const CompiledModule& mod,
                        const std::vector<BfLetter>& alphabet, int maxDepth,
                        const std::vector<std::string>& violationSignals)
 {
-    const rt::InstanceLayout layout =
-        rt::computeInstanceLayout(mod.moduleSema());
     std::vector<int> violIdx;
     for (const std::string& name : violationSignals)
         violIdx.push_back(mod.moduleSema().findSignal(name)->index);
@@ -180,7 +180,7 @@ BruteResult bruteForce(const CompiledModule& mod,
     BruteResult out;
     {
         auto fresh = mod.makeSyncEngine();
-        out.states.insert(verify::encodeEngineState(*fresh, layout));
+        out.states.insert(fresh->packState());
     }
 
     struct Replay {
@@ -200,7 +200,7 @@ BruteResult bruteForce(const CompiledModule& mod,
             }
             eng->react();
         }
-        out.states.insert(verify::encodeEngineState(*eng, layout));
+        out.states.insert(eng->packState());
         for (int vi : violIdx)
             if (eng->outputPresent(vi)) r.violated = true;
         r.terminated = eng->terminated();
@@ -665,13 +665,11 @@ TEST(VerifyBruteForce, RandomWalkStatesAreReachable)
     ASSERT_TRUE(res.stats.complete);
     const std::set<std::vector<std::uint8_t>> states = explorerStates(*ex);
     const std::vector<BfLetter> alphabet = fullAlphabet(mod->moduleSema());
-    const rt::InstanceLayout layout =
-        rt::computeInstanceLayout(mod->moduleSema());
 
     std::mt19937 rng(20260728u);
     for (int walk = 0; walk < 10; ++walk) {
         auto eng = mod->makeSyncEngine();
-        EXPECT_TRUE(states.count(verify::encodeEngineState(*eng, layout)));
+        EXPECT_TRUE(states.count(eng->packState()));
         for (int t = 0; t < 30; ++t) {
             const BfLetter& letter = alphabet[rng() % alphabet.size()];
             for (const auto& [sig, v] : letter) {
@@ -682,7 +680,7 @@ TEST(VerifyBruteForce, RandomWalkStatesAreReachable)
             }
             eng->react();
             EXPECT_TRUE(
-                states.count(verify::encodeEngineState(*eng, layout)))
+                states.count(eng->packState()))
                 << "walk " << walk << " instant " << t;
         }
     }
@@ -1189,7 +1187,7 @@ TEST(VerifyEpochDeterminism, LateEpochViolationMatchesOneThread)
         }
         eng->react();
     }
-    EXPECT_EQ(verify::encodeEngineState(*eng, layout), target);
+    EXPECT_EQ(eng->packState(), target);
 }
 
 // ---------------------------------------------------------------------------
@@ -1536,10 +1534,13 @@ TEST(VerifyPor, CorpusScenariosAgreeWithUnreduced)
             EXPECT_TRUE(rp.reproduced) << s.name << ": " << rp.detail;
             // A complete reduced run covers every reachable behavior up
             // to commutation, so it cannot miss the verdict.
-            if (red.stats.complete) EXPECT_TRUE(red.violated) << s.name;
+            if (red.stats.complete) {
+                EXPECT_TRUE(red.violated) << s.name;
+            }
         }
-        if (base.stats.complete && red.stats.complete)
+        if (base.stats.complete && red.stats.complete) {
             EXPECT_EQ(red.violated, base.violated) << s.name;
+        }
         ++compared;
     }
     EXPECT_GE(compared, 24);
@@ -1578,10 +1579,12 @@ TEST(VerifyPor, GeneratedProgramsVerdictDifferential)
             EXPECT_TRUE(rp.reproduced)
                 << "seed " << seed << ": " << rp.detail;
         }
-        if (base.violated && red.stats.complete)
+        if (base.violated && red.stats.complete) {
             EXPECT_TRUE(red.violated) << "seed " << seed;
-        if (base.stats.complete && red.stats.complete)
+        }
+        if (base.stats.complete && red.stats.complete) {
             EXPECT_EQ(red.violated, base.violated) << "seed " << seed;
+        }
         ++tested;
     }
     EXPECT_EQ(tested, 200);
