@@ -7,12 +7,24 @@
 //    data actions, emit values) with their use kind (statement / scalar
 //    expression / aggregate expression), discovers transitively-called C
 //    helper functions, lowers each to a static C function, and finally
-//    emits ecl_native_react()'s state dispatch + per-node code: one
-//    label per flat node, successors as gotos. From -O1 on the nodes
-//    are a hash-consed DAG (efsm::FlatProgram::remapStates), so a
-//    decision subtree shared by many control states is emitted once.
-//    Each node bumps actions_run/emits_run once by its action counts
-//    and tree_tests once per test.
+//    emits the reaction: a static walk function with the state dispatch
+//    + per-node code (one label per flat node, successors as gotos), and
+//    ecl_native_react(), a thin wrapper that arms the trap jmp_buf and
+//    calls it, so no walk local lives in the function that calls setjmp.
+//    From -O1 on the nodes are a hash-consed DAG
+//    (efsm::FlatProgram::remapStates), so a decision subtree shared by
+//    many control states is emitted once.
+//  * The walk keeps its bookkeeping in locals: the present/emitted/data
+//    pointers (const copies, so a byte store through one cannot force a
+//    reload of the context), the next state, the terminated flag, the
+//    emitted count and one packed walk counter. Each node adds one
+//    compile-time constant to the counter (its tree tests, actions and
+//    emits in kPacked*Bits-wide fields; checkPackedCounters() proves no
+//    field can carry), and every leaf jumps to one exit label that
+//    writes the context once. A trap longjmps past the exit label, so it
+//    discards the reaction's counters, as the host does anyway.
+//  * Emission stops with EmissionLimitError once the C passes
+//    kMaxGeneratedCBytes, before any host cc runs.
 //  * Each chunk lowering first runs a forward dataflow over the chunk's
 //    instruction range assigning every register a static kind+type at
 //    every program point (the VM carries these dynamically in Reg::type;
@@ -25,6 +37,8 @@
 //    views and call-by-value stay well-defined).
 #include "src/codegen/c_gen.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -138,6 +152,39 @@ std::string normExpr(const Type* t, const std::string& v)
 }
 
 // ---------------------------------------------------------------------------
+// Packed walk counter
+// ---------------------------------------------------------------------------
+
+/// One node's tree tests, actions and emits: the fields of the walk
+/// counter, in packing order.
+using NodeCounts = std::array<std::uint64_t, 3>;
+
+constexpr std::array<unsigned, 3> kPackedBits = {
+    kPackedTestBits, kPackedActionBits, kPackedEmitBits};
+constexpr std::array<const char*, 3> kPackedNames = {"tree tests",
+                                                     "actions", "emits"};
+static_assert(kPackedTestBits + kPackedActionBits + kPackedEmitBits <= 64,
+              "the packed walk counter is one uint64_t");
+
+NodeCounts nodeCounts(const efsm::FlatProgram& flat, const efsm::FlatNode& n)
+{
+    NodeCounts k = {n.isLeaf() ? 0u : 1u,
+                    static_cast<std::uint64_t>(n.actionsEnd - n.actionsBegin),
+                    0};
+    for (std::int32_t i = n.actionsBegin; i < n.actionsEnd; ++i)
+        if (flat.actions[static_cast<std::size_t>(i)].kind ==
+            efsm::FlatAction::Kind::Emit)
+            ++k[2];
+    return k;
+}
+
+std::uint64_t packCounts(const NodeCounts& k)
+{
+    return k[0] | k[1] << kPackedTestBits |
+           k[2] << (kPackedTestBits + kPackedActionBits);
+}
+
+// ---------------------------------------------------------------------------
 // Generator
 // ---------------------------------------------------------------------------
 
@@ -195,13 +242,18 @@ private:
     std::string slotAddr(const Frame& f, int slot) const
     {
         if (f.isModule)
-            return "(c->data + " +
-                   std::to_string(
-                       layout_.varOffsets[static_cast<std::size_t>(slot)]) +
-                   ")";
+            return dataAddr(
+                layout_.varOffsets[static_cast<std::size_t>(slot)]);
         return "(fr + " +
                std::to_string(f.offsets[static_cast<std::size_t>(slot)]) +
                ")";
+    }
+    /// An arena address through the function's `ecl_d` copy of c->data;
+    /// marks the local as needed.
+    std::string dataAddr(std::size_t offset) const
+    {
+        usesData_ = true;
+        return "(ecl_d + " + std::to_string(offset) + ")";
     }
     const SignalInfo& valuedSignal(int idx) const
     {
@@ -211,10 +263,13 @@ private:
     }
     std::string sigAddr(int idx) const
     {
-        return "(c->data + " +
-               std::to_string(
-                   layout_.sigOffsets[static_cast<std::size_t>(idx)]) +
-               ")";
+        return dataAddr(layout_.sigOffsets[static_cast<std::size_t>(idx)]);
+    }
+    /// `body` prefixed with the `ecl_d` local when it reads the arena.
+    std::string withDataLocal(const std::string& body) const
+    {
+        if (!usesData_) return body;
+        return "    uint8_t *const ecl_d = c->data;\n" + body;
     }
 
     // React emission.
@@ -223,6 +278,7 @@ private:
     void emitActions(std::ostringstream& os, const efsm::FlatNode& node)
         const;
     void emitReact(std::ostringstream& os) const;
+    void checkBudget(std::streamoff bytes) const;
 
     const CompiledModule& mod_;
     const efsm::FlatProgram& flat_;
@@ -239,6 +295,8 @@ private:
     std::uint32_t maxEmits_ = 1;
     bool needOobHelper_ = false; ///< Emitted an ecl_fail_oob call.
     bool needRetHelper_ = false; ///< Emitted an ecl_fail_ret call.
+    /// The function being emitted addressed the arena (dataAddr).
+    mutable bool usesData_ = false;
 };
 
 /// The VM raises data traps as EclError(loc, "runtime: ..."); mirror the
@@ -535,13 +593,11 @@ std::string Gen::lowerModuleChunk(int chunk)
     Frame frame;
     frame.isModule = true;
     frame.vars = &sema_.vars;
-    std::ostringstream os;
-    os << chunkSig(chunk, false) << "\n{\n"
-       << "    (void)c;\n"
-       << lowerBody(prog_.chunks[static_cast<std::size_t>(chunk)], frame,
-                    -1)
-       << "}\n\n";
-    return os.str();
+    usesData_ = false;
+    std::string body =
+        lowerBody(prog_.chunks[static_cast<std::size_t>(chunk)], frame, -1);
+    return chunkSig(chunk, false) + "\n{\n    (void)c;\n" +
+           withDataLocal(body) + "}\n\n";
 }
 
 std::string Gen::lowerFunction(int fnIndex)
@@ -559,11 +615,8 @@ std::string Gen::lowerFunction(int fnIndex)
     }
     frame.frameBytes = cursor;
 
+    usesData_ = false;
     std::ostringstream os;
-    os << "/* C helper '" << f.name << "' */\n"
-       << fnSig(fnIndex, false) << "\n{\n"
-       << "    (void)c;\n";
-    if (mayFallOff_.count(fnIndex)) os << "    (void)ecl_loc;\n";
     if (frame.frameBytes > 0) {
         // Zero-initialized call frame (Evaluator/VM acquireStore
         // semantics); params are truncating scalar writes / aggregate
@@ -582,9 +635,11 @@ std::string Gen::lowerFunction(int fnIndex)
         }
     }
     os << lowerBody(prog_.chunks[static_cast<std::size_t>(f.chunk)], frame,
-                    fnIndex)
-       << "}\n\n";
-    return os.str();
+                    fnIndex);
+    std::string head = "/* C helper '" + f.name + "' */\n" +
+                       fnSig(fnIndex, false) + "\n{\n    (void)c;\n";
+    if (mayFallOff_.count(fnIndex)) head += "    (void)ecl_loc;\n";
+    return head + withDataLocal(os.str()) + "}\n\n";
 }
 
 std::string Gen::lowerBody(const bc::Chunk& ck, const Frame& frame,
@@ -1229,17 +1284,10 @@ void Gen::emitInfo(std::ostringstream& os) const
 void Gen::emitActions(std::ostringstream& os,
                       const efsm::FlatNode& node) const
 {
-    // Counters are bumped once per node, before its actions: a trap in
-    // any action discards the whole reaction's counters anyway.
-    int emits = 0;
-    for (std::int32_t i = node.actionsBegin; i < node.actionsEnd; ++i)
-        if (flat_.actions[static_cast<std::size_t>(i)].kind ==
-            efsm::FlatAction::Kind::Emit)
-            ++emits;
-    if (node.actionsEnd > node.actionsBegin)
-        os << "    c->actions_run += " << node.actionsEnd - node.actionsBegin
-           << ";\n";
-    if (emits > 0) os << "    c->emits_run += " << emits << ";\n";
+    // One counter add per node, before its actions: a trap in any action
+    // discards the whole reaction's counters anyway.
+    if (std::uint64_t k = packCounts(nodeCounts(flat_, node)); k != 0)
+        os << "    ecl_k += " << k << "u;\n";
     for (std::int32_t i = node.actionsBegin; i < node.actionsEnd; ++i) {
         const efsm::FlatAction& a =
             flat_.actions[static_cast<std::size_t>(i)];
@@ -1259,24 +1307,81 @@ void Gen::emitActions(std::ostringstream& os,
                        << "); }\n";
                 }
             }
-            os << "    c->present[" << a.signal << "] = 1;\n";
+            os << "    ecl_pr[" << a.signal << "] = 1;\n";
             if (a.isOutput)
-                os << "    c->emitted[c->emitted_count++] = " << a.signal
-                   << ";\n";
+                os << "    ecl_out[ecl_n++] = " << a.signal << ";\n";
         } else if (a.chunk >= 0) {
             os << "    ecl_c" << a.chunk << "(c);\n";
         }
     }
 }
 
+void Gen::checkBudget(std::streamoff bytes) const
+{
+    if (static_cast<std::size_t>(bytes) <= kMaxGeneratedCBytes) return;
+    throw EmissionLimitError(
+        "native codegen: module '" + mod_.name() +
+        "' exceeds the C-size budget (kMaxGeneratedCBytes, " +
+        std::to_string(kMaxGeneratedCBytes) + " bytes)");
+}
+
 void Gen::emitReact(std::ostringstream& os) const
 {
     std::size_t nStates = flat_.states.size();
-    os << "int ecl_native_react(ecl_nat_ctx *c)\n"
-       << "{\n"
-       << "    jmp_buf jb;\n"
-       << "    c->jb = (void *)&jb;\n"
-       << "    if (setjmp(jb)) return 1;\n"
+    // The walk body first: only then is it known which pointer locals
+    // the nodes use (unused ones would warn).
+    const std::streamoff head = os.tellp();
+    std::ostringstream body;
+    bool usesPresent = false;
+    bool usesOutputs = false;
+    usesData_ = false;
+    for (const efsm::FlatAction& a : flat_.actions)
+        if (a.kind == efsm::FlatAction::Kind::Emit) {
+            usesPresent = true;
+            usesOutputs = usesOutputs || a.isOutput;
+        }
+    for (std::size_t ni = 0; ni < flat_.nodes.size(); ++ni) {
+        const efsm::FlatNode& node = flat_.nodes[ni];
+        body << "N" << ni << ": ;\n";
+        if (!node.isLeaf()) {
+            emitActions(body, node);
+            if (node.testSignal >= 0) {
+                usesPresent = true;
+                body << "    if (ecl_pr[" << node.testSignal
+                     << "]) goto N" << node.onTrue << "; else goto N"
+                     << node.onFalse << ";\n";
+            } else {
+                body << "    if (ecl_c" << node.predChunk
+                     << "(c) != 0) goto N" << node.onTrue << "; else goto N"
+                     << node.onFalse << ";\n";
+            }
+        } else {
+            if (node.runtimeError())
+                body << "    ecl_fail(c, \"instantaneous loop detected at "
+                     << "runtime (a statically-unverifiable loop path was "
+                     << "reached)\");\n";
+            emitActions(body, node);
+            bool dead =
+                flat_.states[static_cast<std::size_t>(node.nextState)].dead;
+            body << "    ecl_s = " << node.nextState << ";"
+                 << ((node.terminates() || dead) ? " ecl_t = 1;" : "")
+                 << " goto ecl_exit;\n";
+        }
+        checkBudget(head + body.tellp());
+    }
+
+    os << "#if defined(__GNUC__)\n"
+       << "__attribute__((noinline))\n"
+       << "#endif\n"
+       << "static void ecl_walk(ecl_nat_ctx *c)\n"
+       << "{\n";
+    if (usesPresent) os << "    uint8_t *const ecl_pr = c->present;\n";
+    if (usesOutputs) os << "    int32_t *const ecl_out = c->emitted;\n";
+    if (usesData_) os << "    uint8_t *const ecl_d = c->data;\n";
+    os << "    uint64_t ecl_k = 0; /* packed: tree tests | actions << "
+       << kPackedTestBits << " | emits << "
+       << kPackedTestBits + kPackedActionBits << " */\n"
+       << "    int32_t ecl_n = 0, ecl_s = 0, ecl_t = 0;\n"
        << "    if ((uint32_t)c->state >= " << nStates
        << "u) ecl_fail(c, \"runtime: invalid control state\");\n";
     // Dense dispatch on the flat state id: computed goto where the
@@ -1297,42 +1402,35 @@ void Gen::emitReact(std::ostringstream& os) const
         os << "    case " << s << ": goto N" << flat_.states[s].root
            << ";\n";
     os << "    }\n"
+       << "    return;\n"
+       << "#endif\n"
+       << body.str();
+    const std::uint64_t testMask = (std::uint64_t{1} << kPackedTestBits) - 1;
+    const std::uint64_t actionMask =
+        (std::uint64_t{1} << kPackedActionBits) - 1;
+    os << "ecl_exit:\n"
+       << "    c->state = ecl_s;\n"
+       << "    c->terminated = ecl_t;\n"
+       << "    c->emitted_count = ecl_n;\n"
+       << "    c->tree_tests = ecl_k & " << testMask << "u;\n"
+       << "    c->actions_run = (ecl_k >> " << kPackedTestBits << ") & "
+       << actionMask << "u;\n"
+       << "    c->emits_run = ecl_k >> "
+       << kPackedTestBits + kPackedActionBits << ";\n"
+       << "}\n\n"
+       << "int ecl_native_react(ecl_nat_ctx *c)\n"
+       << "{\n"
+       << "    jmp_buf jb;\n"
+       << "    c->jb = (void *)&jb;\n"
+       << "    if (setjmp(jb)) return 1;\n"
+       << "    ecl_walk(c);\n"
        << "    return 0;\n"
-       << "#endif\n";
-
-    for (std::size_t ni = 0; ni < flat_.nodes.size(); ++ni) {
-        const efsm::FlatNode& node = flat_.nodes[ni];
-        os << "N" << ni << ": ;\n";
-        if (!node.isLeaf()) {
-            emitActions(os, node);
-            os << "    c->tree_tests++;\n";
-            if (node.testSignal >= 0)
-                os << "    if (c->present[" << node.testSignal
-                   << "]) goto N" << node.onTrue << "; else goto N"
-                   << node.onFalse << ";\n";
-            else
-                os << "    if (ecl_c" << node.predChunk
-                   << "(c) != 0) goto N" << node.onTrue << "; else goto N"
-                   << node.onFalse << ";\n";
-            continue;
-        }
-        if (node.runtimeError())
-            os << "    ecl_fail(c, \"instantaneous loop detected at "
-               << "runtime (a statically-unverifiable loop path was "
-               << "reached)\");\n";
-        emitActions(os, node);
-        bool dead =
-            flat_.states[static_cast<std::size_t>(node.nextState)].dead;
-        os << "    c->state = " << node.nextState << ";\n"
-           << "    c->terminated = "
-           << ((node.terminates() || dead) ? 1 : 0) << ";\n"
-           << "    return 0;\n";
-    }
-    os << "}\n";
+       << "}\n";
 }
 
 std::string Gen::run()
 {
+    checkPackedCounters(flat_);
     planModuleChunks();
     discoverFunctions();
 
@@ -1350,10 +1448,62 @@ std::string Gen::run()
     os << "int ecl_native_react(ecl_nat_ctx *c);\n\n";
     os << chunkDefs.str();
     emitReact(os);
+    checkBudget(os.tellp());
     return os.str();
 }
 
 } // namespace
+
+void checkPackedCounters(const efsm::FlatProgram& flat)
+{
+    // Largest per-field sum from each node down to a leaf, memoized over
+    // the node DAG with an explicit stack (-O0 trees can be deep).
+    const std::size_t n = flat.nodes.size();
+    std::vector<NodeCounts> best(n, NodeCounts{});
+    std::vector<std::uint8_t> mark(n, 0); // 0 new, 1 children pushed, 2 done
+    std::vector<std::int32_t> stack;
+    NodeCounts worst{};
+    for (const efsm::FlatState& st : flat.states) {
+        if (st.root < 0) continue;
+        stack.push_back(st.root);
+        while (!stack.empty()) {
+            const auto id = static_cast<std::size_t>(stack.back());
+            const efsm::FlatNode& node = flat.nodes[id];
+            if (mark[id] == 2) {
+                stack.pop_back();
+                continue;
+            }
+            if (mark[id] == 0 && !node.isLeaf()) {
+                mark[id] = 1;
+                stack.push_back(node.onTrue);
+                stack.push_back(node.onFalse);
+                continue;
+            }
+            NodeCounts sum = nodeCounts(flat, node);
+            if (!node.isLeaf())
+                for (std::size_t f = 0; f < sum.size(); ++f)
+                    sum[f] += std::max(
+                        best[static_cast<std::size_t>(node.onTrue)][f],
+                        best[static_cast<std::size_t>(node.onFalse)][f]);
+            best[id] = sum;
+            mark[id] = 2;
+            stack.pop_back();
+        }
+        for (std::size_t f = 0; f < worst.size(); ++f)
+            worst[f] = std::max(
+                worst[f], best[static_cast<std::size_t>(st.root)][f]);
+    }
+    for (std::size_t f = 0; f < worst.size(); ++f) {
+        const std::uint64_t limit = (std::uint64_t{1} << kPackedBits[f]) - 1;
+        if (worst[f] > limit)
+            throw EmissionLimitError(
+                "native codegen: a reaction can run " +
+                std::to_string(worst[f]) + " " + kPackedNames[f] +
+                ", more than the packed walk counter's " +
+                std::to_string(kPackedBits[f]) + "-bit field holds (" +
+                std::to_string(limit) + ")");
+    }
+}
 
 std::string generateC(const CompiledModule& module)
 {

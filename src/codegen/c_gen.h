@@ -5,9 +5,13 @@
 // CompiledModule's efsm::FlatProgram + bc::Program (the post-`-O`
 // pipeline output, NOT the tree walk), so whatever level the module was
 // compiled at is what the native code runs:
-//  * control: `int ecl_native_react(ecl_nat_ctx *)` dispatches on the
+//  * control: `int ecl_native_react(ecl_nat_ctx *)` arms the trap
+//    jmp_buf and calls a static walk function, which dispatches on the
 //    flat state id (computed goto under GNU C, dense switch otherwise)
-//    and walks each state's decision tree as labeled straight-line code;
+//    and walks each state's decision tree as labeled straight-line code.
+//    The walk keeps its bookkeeping in locals (next state, terminated
+//    flag, emitted count, one packed walk counter) and writes the
+//    context once, at its exit label;
 //  * data: every bytecode chunk the flat tables reference (predicates,
 //    data actions, emit values, called C helpers) is lowered to a static
 //    C function with VM-exact semantics — normalizeScalar casts, `& 63`
@@ -33,16 +37,45 @@
 // actions_run, emits_run) ARE maintained exactly.
 //
 // Throws EclError when the module has no flat program or a chunk uses a
-// shape the lowering cannot type statically; callers treat that as
-// "native backend unavailable" and fall back to the VM
+// shape the lowering cannot type statically, and EmissionLimitError when
+// the module exceeds an emission bound; callers treat either as "native
+// backend unavailable" and fall back to the VM
 // (CompiledModule::makeEngine(EngineKind::Native)).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "src/core/compiler.h"
 
 namespace ecl::codegen {
+
+/// Largest translation unit generateC() emits, in bytes. Emission stops
+/// as soon as the C passes it, so an oversized module costs neither the
+/// full text nor a host `cc` run. par_pure10 emits 1.08 MB at -O2 (the
+/// largest C any test or bench builds); its -O0 tree would be 10.4 MB,
+/// which this budget rejects.
+inline constexpr std::size_t kMaxGeneratedCBytes = std::size_t{4} << 20;
+
+/// Field widths of the packed walk counter `ecl_k`: each decision node
+/// adds one compile-time constant holding its tree tests (low field),
+/// actions and emits, and the walk's exit label unpacks the sums.
+inline constexpr unsigned kPackedTestBits = 21;
+inline constexpr unsigned kPackedActionBits = 21;
+inline constexpr unsigned kPackedEmitBits = 22;
+
+/// A module exceeds an emission bound (the C-size budget, or a packed
+/// counter field); the message names the bound.
+class EmissionLimitError : public EclError {
+public:
+    using EclError::EclError;
+};
+
+/// Throws EmissionLimitError when some root-to-leaf path of `flat` sums
+/// more tree tests, actions or emits than its packed counter field
+/// holds, so one reaction's counters could carry into the next field.
+/// generateC() runs it before emitting anything.
+void checkPackedCounters(const efsm::FlatProgram& flat);
 
 std::string generateC(const CompiledModule& module);
 

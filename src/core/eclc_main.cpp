@@ -191,6 +191,21 @@ std::string statsText(const ecl::CompiledModule& mod)
         << "  pause points:       " << mod.lowerStats().pauses << "\n"
         << "  est. code size:     " << sz.codeBytes << " B (R3000 model)\n"
         << "  est. data size:     " << sz.dataBytes << " B\n";
+    // The AOT translation unit's size, per flat node: how the native
+    // build's input grows with the design.
+    try {
+        const std::size_t bytes = ecl::codegen::generateC(mod).size();
+        const std::size_t nodes = mod.flatProgram().nodes.size();
+        char perNode[32];
+        std::snprintf(perNode, sizeof perNode, "%.1f",
+                      static_cast<double>(bytes) /
+                          static_cast<double>(nodes));
+        out << "  flat nodes:         " << nodes << "\n"
+            << "  generated C:        " << bytes << " B (" << perNode
+            << " B per flat node)\n";
+    } catch (const ecl::EclError& e) {
+        out << "  generated C:        none (" << e.what() << ")\n";
+    }
     return out.str();
 }
 

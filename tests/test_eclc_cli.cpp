@@ -102,6 +102,15 @@ TEST(EclcCli, EmitSucceedsExit0)
     EXPECT_EQ(runEclc("--paper buffer --module blinker --emit c"), 0);
 }
 
+TEST(EclcCli, EmitStatsReportsGeneratedCBytes)
+{
+    std::string out;
+    EXPECT_EQ(runEclcCapture("--paper buffer --module blinker --emit stats",
+                             out),
+              0);
+    EXPECT_NE(out.find(" B per flat node)"), std::string::npos) << out;
+}
+
 TEST(EclcCli, OptLevelFlags)
 {
     // Every documented level compiles and emits; anything else is a

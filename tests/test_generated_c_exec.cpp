@@ -3,16 +3,20 @@
 // through rt::NativeModule, and driven behind the common ReactiveEngine
 // interface — then compared bit-exactly (trace strings AND packed final
 // state) against the -O2 bytecode VM over the paper modules, the
-// committed scenario corpus, and a seeded generator sweep. Every test
+// committed scenario corpus, and a seeded generator sweep; the corpus
+// and generator sweeps also compare the walk counters and emitted
+// outputs of every reaction. Every test
 // that needs a host C compiler skips cleanly when none is available;
 // the fallback tests assert the graceful degradation contract itself.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -120,31 +124,141 @@ std::filesystem::path freshTempDir(const std::string& tag)
     return dir;
 }
 
+std::shared_ptr<CompiledModule> compileCorpus(const std::string& name,
+                                              int optLevel)
+{
+    for (const corpus::Scenario& s : corpus::loadCorpusDir(ECL_CORPUS_DIR))
+        if (s.name == name) return corpus::compileScenario(s, optLevel);
+    ADD_FAILURE() << "no corpus scenario " << name;
+    return nullptr;
+}
+
+/// One reaction's walk counters and emitted outputs.
+struct WalkRecord {
+    std::uint64_t treeTests = 0;
+    std::uint64_t actionsRun = 0;
+    std::uint64_t emitsRun = 0;
+    std::vector<int> emittedOutputs;
+
+    bool operator==(const WalkRecord& o) const
+    {
+        return treeTests == o.treeTests && actionsRun == o.actionsRun &&
+               emitsRun == o.emitsRun && emittedOutputs == o.emittedOutputs;
+    }
+};
+
+/// Forwards to `inner` and records every reaction's WalkRecord, so two
+/// engines driven by the same stimulus compare reaction by reaction.
+class WalkRecorder final : public rt::ReactiveEngine {
+public:
+    explicit WalkRecorder(rt::ReactiveEngine& inner) : inner_(inner) {}
+
+    std::vector<WalkRecord> records;
+
+    void setInput(int sig) override { inner_.setInput(sig); }
+    void setInputScalar(int sig, std::int64_t v) override
+    {
+        inner_.setInputScalar(sig, v);
+    }
+    void setInputValue(int sig, Value v) override
+    {
+        inner_.setInputValue(sig, std::move(v));
+    }
+    rt::ReactionResult react() override
+    {
+        rt::ReactionResult r = inner_.react();
+        records.push_back(
+            {r.treeTests, r.actionsRun, r.emitsRun, r.emittedOutputs});
+        return r;
+    }
+    bool outputPresent(int sig) const override
+    {
+        return inner_.outputPresent(sig);
+    }
+    Value outputValue(int sig) const override
+    {
+        return inner_.outputValue(sig);
+    }
+    bool terminated() const override { return inner_.terminated(); }
+    bool needsAutoResume() const override
+    {
+        return inner_.needsAutoResume();
+    }
+    const ModuleSema& moduleSema() const override
+    {
+        return inner_.moduleSema();
+    }
+    const char* backendName() const override
+    {
+        return inner_.backendName();
+    }
+
+private:
+    rt::ReactiveEngine& inner_;
+};
+
+/// Fails at the first reaction whose native walk record differs from the
+/// VM's (the boot reaction is record 0).
+void expectSameWalks(const WalkRecorder& native, const WalkRecorder& vm,
+                     const std::string& label)
+{
+    ASSERT_FALSE(vm.records.empty()) << label;
+    ASSERT_EQ(native.records.size(), vm.records.size()) << label;
+    for (std::size_t r = 0; r < native.records.size(); ++r) {
+        const WalkRecord& n = native.records[r];
+        const WalkRecord& v = vm.records[r];
+        ASSERT_TRUE(n == v)
+            << label << ": reaction " << r << " native tests/actions/emits "
+            << n.treeTests << "/" << n.actionsRun << "/" << n.emitsRun
+            << " (" << n.emittedOutputs.size() << " outputs) vs VM "
+            << v.treeTests << "/" << v.actionsRun << "/" << v.emitsRun
+            << " (" << v.emittedOutputs.size() << " outputs)";
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The emitted translation unit itself: compiles standalone, warning-clean.
 // ---------------------------------------------------------------------------
 
+// Compiled at -O2, not only syntax-checked: -Wclobbered (in -Wextra) and
+// -Wmaybe-uninitialized come from the optimizer.
 TEST(NativeCodegen, GeneratedCIsWarningCleanC99)
 {
     std::string cc = syntaxCheckCompiler();
     if (cc.empty()) GTEST_SKIP() << "no host C compiler on PATH";
     auto dir = freshTempDir("cgen_syntax");
-    for (const PaperCase& pc : kPaperCases) {
-        auto mod = compilePaper(pc, 2);
-        ASSERT_TRUE(mod->hasFlatProgram()) << pc.module;
+    std::vector<std::pair<std::string, std::shared_ptr<CompiledModule>>>
+        designs;
+    for (const PaperCase& pc : kPaperCases)
+        designs.emplace_back(pc.module, compilePaper(pc, 2));
+    for (const char* name : {"par_pure6", "payload_256", "preempt_n10"})
+        designs.emplace_back(name, compileCorpus(name, 2));
+    {
+        corpus::ProgramGen gen(7, 3);
+        Compiler compiler(gen.generate());
+        CompileOptions opts;
+        opts.optLevel = 2;
+        designs.emplace_back("program_gen_s7", compiler.compile("m", opts));
+    }
+    for (const auto& [name, mod] : designs) {
+        ASSERT_TRUE(mod && mod->hasFlatProgram()) << name;
         std::string c = codegen::generateC(*mod);
-        auto cPath = dir / (std::string(pc.module) + ".c");
-        auto logPath = dir / (std::string(pc.module) + ".log");
+        auto cPath = dir / (name + ".c");
         { std::ofstream(cPath) << c; }
-        std::string cmd = cc + " -std=c99 -fsyntax-only -Wall -Wextra '" +
-                          cPath.string() + "' 2>'" + logPath.string() + "'";
-        EXPECT_EQ(std::system(cmd.c_str()), 0) << pc.module;
-        std::ifstream log(logPath);
-        std::string diag((std::istreambuf_iterator<char>(log)),
-                         std::istreambuf_iterator<char>());
-        EXPECT_TRUE(diag.empty())
-            << pc.module << " generated C warns:\n"
-            << diag;
+        for (const char* form : {"", " -DECL_NO_COMPUTED_GOTO"}) {
+            auto logPath = dir / (name + ".log");
+            std::string cmd = cc + " -std=c99 -O2 -Wall -Wextra" + form +
+                              " -c '" + cPath.string() + "' -o '" +
+                              (dir / (name + ".o")).string() + "' 2>'" +
+                              logPath.string() + "'";
+            EXPECT_EQ(std::system(cmd.c_str()), 0) << name << form;
+            std::ifstream log(logPath);
+            std::string diag((std::istreambuf_iterator<char>(log)),
+                             std::istreambuf_iterator<char>());
+            EXPECT_TRUE(diag.empty())
+                << name << form << " generated C warns:\n"
+                << diag;
+        }
     }
     std::filesystem::remove_all(dir);
 }
@@ -237,18 +351,22 @@ TEST(NativeDifferential, CorpusSweepBitExact)
         auto native = mod->makeEngine(EngineKind::Native);
         ASSERT_STREQ(native->backendName(), "native")
             << s.name << ": native backend fell back to the VM";
+        WalkRecorder walksN(*native);
         std::string traceN =
-            corpus::runStimulus(*native, s.profile, s.stimSeed, s.instants);
+            corpus::runStimulus(walksN, s.profile, s.stimSeed, s.instants);
         // Pinned oracle digest (the tree-walk trace) — the strongest
         // cross-version pin the corpus carries.
         EXPECT_EQ(hex64(fnv1a64(traceN)), s.oracleDigest)
             << s.name << " native trace diverged from the pinned oracle";
-        // And bit-exact final data against a fresh -O2 VM run.
+        // And bit-exact final data, walk counters and emitted outputs
+        // against a fresh -O2 VM run.
         auto vm = mod->makeSyncEngine();
+        WalkRecorder walksV(*vm);
         std::string traceV =
-            corpus::runStimulus(*vm, s.profile, s.stimSeed, s.instants);
+            corpus::runStimulus(walksV, s.profile, s.stimSeed, s.instants);
         EXPECT_EQ(traceN, traceV) << s.name;
         EXPECT_EQ(native->packState(), vm->packState()) << s.name;
+        expectSameWalks(walksN, walksV, s.name);
         ++swept;
     }
     // The ASSERT above makes every non-quarantined scenario run natively,
@@ -272,14 +390,17 @@ TEST(NativeDifferential, GeneratorSweepMatchesVm)
         EXPECT_STREQ(native->backendName(), "native")
             << "seed " << seed << " fell back to the VM";
         auto vm = mod->makeSyncEngine();
+        WalkRecorder walksN(*native);
+        WalkRecorder walksV(*vm);
         std::string traceN = corpus::runStimulus(
-            *native, corpus::Profile::Random, seed, 120);
+            walksN, corpus::Profile::Random, seed, 120);
         std::string traceV =
-            corpus::runStimulus(*vm, corpus::Profile::Random, seed, 120);
+            corpus::runStimulus(walksV, corpus::Profile::Random, seed, 120);
         EXPECT_EQ(traceN, traceV) << "seed " << seed;
         if (std::string(native->backendName()) == "native") {
             EXPECT_EQ(native->packState(), vm->packState())
                 << "seed " << seed;
+            expectSameWalks(walksN, walksV, "seed " + std::to_string(seed));
             ++nativeRuns;
         }
     }
@@ -450,6 +571,32 @@ TEST(NativeFallback, FallbackReasonNamesTheCompiler)
     EXPECT_NE(mod2->nativeFallbackReason().find("/bin/false"),
               std::string::npos)
         << mod2->nativeFallbackReason();
+    std::filesystem::remove_all(cache);
+}
+
+// par_pure10's verbatim -O0 tree is about 11 MB of C: emission stops at
+// the C-size budget and the module runs on the VM with that reason. CC
+// is a compiler that always fails, so a reason naming it would mean cc
+// ran.
+TEST(NativeFallback, CSizeBudgetFallsBackBeforeCc)
+{
+    auto cache = freshTempDir("native_budget");
+    std::string cachePath = cache.string();
+    ScopedEnv cc("CC", "/bin/false");
+    ScopedEnv dir("ECL_NATIVE_CACHE_DIR", cachePath.c_str());
+    auto mod = compileCorpus("par_pure10", 0);
+    ASSERT_TRUE(mod && mod->hasFlatProgram());
+    EXPECT_THROW(static_cast<void>(codegen::generateC(*mod)),
+                 codegen::EmissionLimitError);
+    auto eng = mod->makeEngine(EngineKind::Native);
+    EXPECT_STREQ(eng->backendName(), "flat");
+    const std::string reason = mod->nativeFallbackReason();
+    EXPECT_NE(reason.find("C-size budget"), std::string::npos) << reason;
+    EXPECT_NE(reason.find(std::to_string(codegen::kMaxGeneratedCBytes)),
+              std::string::npos)
+        << reason;
+    EXPECT_EQ(reason.find("/bin/false"), std::string::npos) << reason;
+    EXPECT_TRUE(std::filesystem::is_empty(cache));
     std::filesystem::remove_all(cache);
 }
 
